@@ -1,234 +1,101 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels of the sampler, as vectorized numpy array code.
 
-The default backend JIT-compiles the inner loops with numba; a pure-numpy
-fallback implements the same operations with vectorized array code. Selection
-happens once at import time via the ``SGCP_BACKEND`` environment variable
-(``"numba"`` or ``"numpy"``; unset means numba when importable). The flag only
-swaps arithmetic implementations — it cannot change any modeled quantity.
-
-Both backends are deterministic. They are not bitwise-identical to each other
-(loop accumulation vs pairwise summation), so cross-backend tests compare at
-tight relative tolerance rather than equality. ``benchmarks/backend_bench.py``
-times one against the other.
+Every kernel is deterministic, so a rerun with the same inputs reproduces its
+output bit for bit. ``BACKEND`` names the arithmetic path and is recorded in
+``fit.json`` and in benchmark environments.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-def _select_backend() -> str:
-    choice = os.environ.get("SGCP_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise ImportError("SGCP_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown SGCP_BACKEND {choice!r}; use 'numba' or 'numpy'")
-    return "numba" if _HAVE_NUMBA else "numpy"
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, elementwise.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
-BACKEND = _select_backend()
-NUMBA_AVAILABLE = _HAVE_NUMBA
+def interp_stencil(
+    dim: int, resolution: int, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear interpolation stencil of a regular grid at ``pts`` in [0,1]^d.
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def interp_multilinear_np(
-    values: np.ndarray, dim: int, resolution: int, pts: np.ndarray
-) -> np.ndarray:
-    """Multilinear interpolation of a flat C-order grid at ``pts`` in [0,1]^d."""
+    Returns ``(flat, w)``, both of shape ``(2**dim, n)``: row ``c`` holds the
+    flat C-order node index and the weight of corner ``c`` for every point.
+    The stencil depends only on the points, so a caller that interpolates many
+    fields at fixed points builds it once.
+    """
     n = pts.shape[0]
     x = pts * (resolution - 1)
     base = np.floor(x).astype(np.int64)
     np.clip(base, 0, resolution - 2, out=base)
     frac = x - base
-    out = np.zeros(n)
+    flat = np.zeros((1 << dim, n), dtype=np.int64)
+    w = np.ones((1 << dim, n))
     for corner in range(1 << dim):
-        w = np.ones(n)
-        flat = np.zeros(n, dtype=np.int64)
         stride = 1
         for a in range(dim - 1, -1, -1):
             bit = (corner >> a) & 1
-            w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
-            flat += (base[:, a] + bit) * stride
+            w[corner] *= frac[:, a] if bit else 1.0 - frac[:, a]
+            flat[corner] += (base[:, a] + bit) * stride
             stride *= resolution
-        out += w * values[flat]
+    return flat, w
+
+
+def interp_apply(values: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Interpolate a flat C-order grid of ``values`` through a stencil."""
+    flat, w = stencil
+    out = np.zeros(flat.shape[1])
+    for corner in range(flat.shape[0]):
+        out += w[corner] * values[flat[corner]]
     return out
 
 
-def sgcp_suffstats_np(
+def interp_multilinear(
+    values: np.ndarray, dim: int, resolution: int, pts: np.ndarray
+) -> np.ndarray:
+    """Multilinear interpolation of a flat C-order grid at ``pts`` in [0,1]^d."""
+    return interp_apply(values, interp_stencil(dim, resolution, pts))
+
+
+def sgcp_suffstats(
     g: np.ndarray,
     weights: np.ndarray,
-    pts: np.ndarray,
-    dim: int,
-    resolution: int,
+    stencil: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, float]:
     """Likelihood sufficient statistics of a latent field draw.
 
     Returns ``(sum_log_s, int_s)`` where ``s = sigmoid(g)`` on the grid,
-    ``sum_log_s`` sums ``log s`` interpolated at the observed points and
-    ``int_s`` is the trapezoid integral of ``s``. The intensity never enters:
-    ``lambda = lambda_star * s`` scales out of both statistics.
+    ``sum_log_s`` sums ``log s`` interpolated at the observed points (given
+    by their ``interp_stencil``) and ``int_s`` is the trapezoid integral of
+    ``s``. The intensity never enters: ``lambda = lambda_star * s`` scales out
+    of both statistics.
     """
-    s = sigmoid_np(g)
+    s = sigmoid(g)
     int_s = float(weights @ s)
-    if pts.shape[0] == 0:
+    if stencil[0].shape[1] == 0:
         return 0.0, int_s
-    sv = interp_multilinear_np(s, dim, resolution, pts)
+    sv = interp_apply(s, stencil)
     with np.errstate(divide="ignore"):
         sum_log = float(np.sum(np.log(sv)))
     return sum_log, int_s
 
 
-def sq_exp_cov_np(nodes: np.ndarray, ell: float) -> np.ndarray:
+def sq_exp_cov(nodes: np.ndarray, ell: float) -> np.ndarray:
     """Squared-exponential covariance exp(-ell^2 ||s-t||^2) on node pairs."""
     sq = np.sum(nodes * nodes, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (nodes @ nodes.T)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-(ell * ell) * d2)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _sigmoid_nb(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            v = x[i]
-            if v >= 0.0:
-                out[i] = 1.0 / (1.0 + np.exp(-v))
-            else:
-                e = np.exp(v)
-                out[i] = e / (1.0 + e)
-        return out
-
-    @numba.njit(cache=True)
-    def _interp_multilinear_nb(values, dim, resolution, pts):
-        n = pts.shape[0]
-        out = np.empty(n)
-        base = np.empty(dim, np.int64)
-        frac = np.empty(dim, np.float64)
-        for i in range(n):
-            for a in range(dim):
-                x = pts[i, a] * (resolution - 1)
-                j = int(np.floor(x))
-                if j > resolution - 2:
-                    j = resolution - 2
-                if j < 0:
-                    j = 0
-                base[a] = j
-                frac[a] = x - j
-            acc = 0.0
-            for corner in range(1 << dim):
-                w = 1.0
-                flat = 0
-                stride = 1
-                for a in range(dim - 1, -1, -1):
-                    bit = (corner >> a) & 1
-                    if bit == 1:
-                        w *= frac[a]
-                    else:
-                        w *= 1.0 - frac[a]
-                    flat += (base[a] + bit) * stride
-                    stride *= resolution
-                acc += w * values[flat]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _sgcp_suffstats_nb(g, weights, pts, dim, resolution):
-        m = g.shape[0]
-        s = np.empty(m)
-        int_s = 0.0
-        for i in range(m):
-            v = g[i]
-            if v >= 0.0:
-                si = 1.0 / (1.0 + np.exp(-v))
-            else:
-                e = np.exp(v)
-                si = e / (1.0 + e)
-            s[i] = si
-            int_s += weights[i] * si
-        if pts.shape[0] == 0:
-            return 0.0, int_s
-        sv = _interp_multilinear_nb(s, dim, resolution, pts)
-        sum_log = 0.0
-        for i in range(sv.shape[0]):
-            sum_log += np.log(sv[i])
-        return sum_log, int_s
-
-    @numba.njit(cache=True)
-    def _sq_exp_cov_nb(nodes, ell):
-        m = nodes.shape[0]
-        d = nodes.shape[1]
-        out = np.empty((m, m))
-        e2 = ell * ell
-        for i in range(m):
-            out[i, i] = 1.0
-            for j in range(i + 1, m):
-                d2 = 0.0
-                for a in range(d):
-                    diff = nodes[i, a] - nodes[j, a]
-                    d2 += diff * diff
-                v = np.exp(-e2 * d2)
-                out[i, j] = v
-                out[j, i] = v
-        return out
-
-    def sigmoid_nb(x):
-        return _sigmoid_nb(np.ascontiguousarray(x, dtype=np.float64))
-
-    def interp_multilinear_nb(values, dim, resolution, pts):
-        return _interp_multilinear_nb(
-            np.ascontiguousarray(values, dtype=np.float64),
-            dim,
-            resolution,
-            np.ascontiguousarray(pts, dtype=np.float64),
-        )
-
-    def sgcp_suffstats_nb(g, weights, pts, dim, resolution):
-        return _sgcp_suffstats_nb(
-            np.ascontiguousarray(g, dtype=np.float64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-            np.ascontiguousarray(pts, dtype=np.float64),
-            dim,
-            resolution,
-        )
-
-    def sq_exp_cov_nb(nodes, ell):
-        return _sq_exp_cov_nb(np.ascontiguousarray(nodes, dtype=np.float64), float(ell))
-
-
-# ---------------------------------------------------------------------------
-# shared helpers and dispatch
 
 
 @lru_cache(maxsize=32)
@@ -243,15 +110,3 @@ def trapezoid_weights(dim: int, resolution: int) -> np.ndarray:
     out = np.ascontiguousarray(w.ravel())
     out.setflags(write=False)
     return out
-
-
-if BACKEND == "numba":
-    sigmoid = sigmoid_nb
-    interp_multilinear = interp_multilinear_nb
-    sgcp_suffstats = sgcp_suffstats_nb
-    sq_exp_cov = sq_exp_cov_nb
-else:
-    sigmoid = sigmoid_np
-    interp_multilinear = interp_multilinear_np
-    sgcp_suffstats = sgcp_suffstats_np
-    sq_exp_cov = sq_exp_cov_np

@@ -32,9 +32,9 @@ from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_ch
 from .kernels import (FactorizationError, KernelSpec, QuadratureError, SPECTRAL,
                       SpectralDensity, check_exponential_moment)
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import (DataError, Grid, IntensityField, integrate_field,
-                            read_field_csv, read_pattern_csv, simulate_thinning,
-                            write_field_csv, write_pattern_csv)
+from .point_process import (DataError, Grid, IntensityField, _write_meta,
+                            integrate_field, read_field_csv, read_pattern_csv,
+                            simulate_thinning, write_field_csv, write_pattern_csv)
 from .priors import (estimate_sqrt_link_lipschitz, validate_length_scale_tail,
                      validate_max_intensity_tail)
 from .truths import get_truth
@@ -79,8 +79,7 @@ def _write_chain_jsonl(chain: PosteriorChain, path, fingerprint: str, seed: int)
 def _write_draws_csv(chain: PosteriorChain, path, meta: dict) -> None:
     """Kept intensity draws as a matrix, one draw per row in node order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
+        _write_meta(fh, meta)
         fh.write(f"{chain.grid.dim},{chain.grid.resolution}\n")
         for row in chain.intensity:
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")

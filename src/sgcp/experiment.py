@@ -23,7 +23,7 @@ import numpy as np
 from .config import rng_for, seed_fingerprint
 from .inference import ChainConfig, run_chain
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import simulate_thinning
+from .point_process import _write_meta, simulate_thinning
 from .priors import SgcpPrior
 from .truths import get_truth
 
@@ -226,15 +226,9 @@ def write_report_json(report: ContractionReport, path, extra: dict | None = None
         fh.write("\n")
 
 
-def _write_csv_meta(fh, meta: dict | None) -> None:
-    if meta:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-
-
 def write_cells_csv(report: ContractionReport, path, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv_meta(fh, meta)
+        _write_meta(fh, meta)
         writer = csv.writer(fh)
         writer.writerow(_CELL_FIELDS)
         for c in report.cells:
@@ -247,7 +241,7 @@ def write_cells_csv(report: ContractionReport, path, meta: dict | None = None) -
 
 def write_medians_csv(report: ContractionReport, path, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv_meta(fh, meta)
+        _write_meta(fh, meta)
         writer = csv.writer(fh)
         writer.writerow(("n", "median_distance", "median_radius", "theory_radius"))
         for i, n in enumerate(report.ns):

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import sgcp_suffstats, sigmoid, trapezoid_weights
+from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
 from .kernels import chol_with_jitter, cov_matrix
 from .point_process import Grid, IntensityField, PointPattern, integrate_field, simulate_thinning
-from .priors import SgcpPrior
+from .priors import LOGISTIC, SgcpPrior, sample_prior_intensity
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,16 +137,21 @@ def effective_sample_size(x: np.ndarray) -> float:
 class _Sampler:
     """One-state transition kernel over (white, log ell, log lam*).
 
-    Caches the Cholesky factor for the current length scale and the two
-    likelihood statistics; ``mutate_drop_integral`` deliberately corrupts the
-    likelihood (for calibration-test power checks) by dropping the integral
-    term.
+    Caches the Cholesky factor for the current length scale, the
+    interpolation stencil of the data points and the two likelihood
+    statistics. Only the logistic link is implemented; a prior
+    with another link is refused. ``mutate_drop_integral`` deliberately
+    corrupts the likelihood (for calibration-test power checks) by dropping
+    the integral term.
     """
 
     def __init__(self, prior: SgcpPrior, grid: Grid, config: ChainConfig,
                  mutate_drop_integral: bool = False):
         if grid.dim != prior.dim:
             raise ValueError("grid dimension does not match the prior")
+        if prior.link != LOGISTIC:
+            raise ValueError(f"the sampler implements only the logistic link, "
+                             f"not {prior.link.name!r}")
         self.prior = prior
         self.grid = grid
         self.config = config
@@ -156,6 +161,7 @@ class _Sampler:
         self.step_log_ell = config.step_log_ell
         self.step_log_lambda = config.step_log_lambda
         self.points = np.empty((0, grid.dim))
+        self.stencil = interp_stencil(grid.dim, grid.resolution, self.points)
         self.n_patterns = 0
         self.n_points = 0
         self.state: ModelState | None = None
@@ -179,6 +185,7 @@ class _Sampler:
         else:
             self.points = np.empty((0, self.grid.dim))
         self.n_points = self.points.shape[0]
+        self.stencil = interp_stencil(self.grid.dim, self.grid.resolution, self.points)
         if self.state is not None:
             self._refresh_likelihood()
 
@@ -194,8 +201,7 @@ class _Sampler:
         return L
 
     def _suffstats(self, g: np.ndarray) -> tuple[float, float]:
-        return sgcp_suffstats(g, self.weights, self.points,
-                              self.grid.dim, self.grid.resolution)
+        return sgcp_suffstats(g, self.weights, self.stencil)
 
     def _loglik_from(self, suff: tuple[float, float], log_lambda_star: float) -> float:
         sum_log_s, int_s = suff
@@ -396,8 +402,7 @@ def run_chain(
             ell_out[kept] = math.exp(st.log_ell)
             lam_out[kept] = math.exp(st.log_lambda_star)
             latent_out[kept] = sampler.latent
-            intensity_out[kept] = lam_out[kept] * np.asarray(
-                sigmoid(np.ascontiguousarray(sampler.latent)))
+            intensity_out[kept] = lam_out[kept] * sigmoid(sampler.latent)
             logpost_out[kept] = sampler.log_posterior()
             iter_out[kept] = k
             kept += 1
@@ -484,13 +489,13 @@ def geweke_joint_test(
 
     forward = np.empty((n_rounds, len(_GEWEKE_STATS)))
     for i in range(n_rounds):
-        field, latents = _prior_field(prior, grid, rng)
+        field, latents = sample_prior_intensity(prior, grid, rng)
         pattern = simulate_thinning(latents["lambda_star"], field, rng)
         forward[i] = _stat_row(latents["lambda_star"], latents["ell"],
                                integrate_field(field), pattern.n)
 
     chained = np.empty((n_rounds, len(_GEWEKE_STATS)))
-    field, latents = _prior_field(prior, grid, rng)
+    _, latents = sample_prior_intensity(prior, grid, rng)
     state = ModelState(
         white=latents["white"],
         log_ell=math.log(latents["ell"]),
@@ -504,8 +509,7 @@ def geweke_joint_test(
         if lam_star > lambda_cap:
             diverged = True
             break
-        field = IntensityField(grid, lam_star * np.asarray(
-            sigmoid(np.ascontiguousarray(sampler.latent))))
+        field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
         pattern = simulate_thinning(lam_star, field, rng)
         chained[i] = _stat_row(lam_star, math.exp(sampler.state.log_ell),
                                lam_star * sampler.integral_of_link, pattern.n)
@@ -528,15 +532,3 @@ def geweke_joint_test(
         z_scores[name] = diff / denom if denom > 0.0 else 0.0
     return GewekeResult(z_scores, False, rounds_done)
 
-
-def _prior_field(prior: SgcpPrior, grid: Grid, rng: np.random.Generator):
-    """Prior draw that also exposes the whitened coordinates."""
-    ell = float(prior.ell_prior.sample(rng))
-    lam_star = float(prior.lam_prior.sample(rng))
-    K = cov_matrix(prior.kernel(ell), grid.nodes())
-    L, _ = chol_with_jitter(K)
-    white = rng.standard_normal(grid.n_nodes)
-    g = L @ white
-    field = IntensityField(grid, lam_star * np.asarray(
-        sigmoid(np.ascontiguousarray(g))))
-    return field, {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}

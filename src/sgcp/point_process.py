@@ -61,7 +61,8 @@ class PointPattern:
     dim : int
         Dimension of the domain.
     points : np.ndarray
-        Array of shape (n, dim); every coordinate must lie in [0, 1].
+        Array of shape (n, dim); every coordinate must be finite and lie in
+        [0, 1].
     """
 
     dim: int
@@ -73,6 +74,8 @@ class PointPattern:
             pts = pts.reshape(0, self.dim)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (n, {self.dim})")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("coordinates must be finite numbers")
         if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
             raise ValueError("all coordinates must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
@@ -94,7 +97,7 @@ class PointPattern:
 
 @dataclass(frozen=True)
 class IntensityField:
-    """A nonnegative intensity function sampled on a regular grid.
+    """A finite, nonnegative intensity function sampled on a regular grid.
 
     ``values`` is flat in C order (last axis fastest) with one entry per grid
     node; off-grid evaluation is multilinear interpolation of these values.
@@ -109,6 +112,8 @@ class IntensityField:
             raise ValueError(
                 f"expected {self.grid.n_nodes} values for the grid, got {vals.shape[0]}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("intensity values must be finite numbers")
         if vals.size and vals.min() < 0.0:
             raise ValueError("intensity values must be nonnegative")
         object.__setattr__(self, "values", vals)

@@ -44,7 +44,7 @@ class LinkFunction:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.name == "logistic":
-            return sigmoid(np.ascontiguousarray(np.atleast_1d(x))).reshape(x.shape)
+            return sigmoid(x)
         return _sci_special.ndtr(x)
 
     def inverse(self, p) -> np.ndarray:
@@ -286,16 +286,22 @@ class SgcpPrior:
 def sample_prior_intensity(
     prior: SgcpPrior, grid: Grid, rng: np.random.Generator
 ) -> tuple[IntensityField, dict]:
-    """One draw of (ell, lam*, g) pushed through the link to an intensity field."""
+    """One draw of (ell, lam*, g) pushed through the link to an intensity field.
+
+    The draws come from ``rng`` in a fixed order: ``ell``, ``lam*``, then the
+    white noise ``white`` with ``g = L(ell) @ white``. The returned dict holds
+    all four.
+    """
     if grid.dim != prior.dim:
         raise ValueError("grid dimension does not match the prior")
     ell = float(prior.ell_prior.sample(rng))
     lam_star = float(prior.lam_prior.sample(rng))
     K = cov_matrix(prior.kernel(ell), grid.nodes())
     L, _ = chol_with_jitter(K)
-    g = L @ rng.standard_normal(grid.n_nodes)
+    white = rng.standard_normal(grid.n_nodes)
+    g = L @ white
     field = IntensityField(grid, lam_star * prior.link(g))
-    return field, {"ell": ell, "lambda_star": lam_star, "latent": g}
+    return field, {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
 
 
 @dataclass(frozen=True)
@@ -323,18 +329,10 @@ def prior_small_ball_probability(
         raise ValueError("small-ball radii must be positive")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    grid = truth.grid
-    nodes = grid.nodes()
-    lam0 = truth.values
     sup_dist = np.empty(n_mc)
     for i in range(n_mc):
-        ell = float(prior.ell_prior.sample(rng))
-        lam_star = float(prior.lam_prior.sample(rng))
-        K = cov_matrix(prior.kernel(ell), nodes)
-        L, _ = chol_with_jitter(K)
-        g = L @ rng.standard_normal(grid.n_nodes)
-        lam = lam_star * prior.link(g)
-        sup_dist[i] = float(np.max(np.abs(lam - lam0)))
+        field, _ = sample_prior_intensity(prior, truth.grid, rng)
+        sup_dist[i] = float(np.max(np.abs(field.values - truth.values)))
     out = []
     for delta in deltas:
         hits = sup_dist < delta

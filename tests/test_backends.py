@@ -1,72 +1,16 @@
-"""Numerical equivalence of the accelerated and pure-numpy kernel backends.
-
-The two implementations are each bitwise-deterministic but may differ from
-one another at rounding level (different reduction orders), so comparisons
-use tight relative tolerances rather than exact equality.
-"""
-
-import os
-import subprocess
-import sys
+"""Edge cases of the numpy kernels in ``sgcp._accel``."""
 
 import numpy as np
 import pytest
 
-from sgcp import _accel
-from sgcp._accel import trapezoid_weights
-
-numba_missing = not _accel.NUMBA_AVAILABLE
-needs_numba = pytest.mark.skipif(numba_missing, reason="numba is not installed")
+from sgcp._accel import sigmoid, trapezoid_weights
 
 
-def _rng():
-    return np.random.default_rng(1234)
-
-
-@needs_numba
-def test_sigmoid_backends_agree():
-    x = np.ascontiguousarray(_rng().normal(scale=30.0, size=1000))
-    np.testing.assert_allclose(_accel.sigmoid_np(x), _accel.sigmoid_nb(x), rtol=1e-14)
-
-
-@needs_numba
 def test_sigmoid_extreme_arguments():
     x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
-    a = _accel.sigmoid_np(x)
-    b = _accel.sigmoid_nb(x)
-    np.testing.assert_allclose(a, b, rtol=1e-14)
-    assert a[0] == 0.0 and a[-1] == 1.0  # saturates without overflow
-
-
-@needs_numba
-@pytest.mark.parametrize("dim,res", [(1, 9), (2, 7), (3, 5)])
-def test_interp_backends_agree(dim, res):
-    rng = _rng()
-    vals = rng.random(res**dim)
-    pts = rng.random((200, dim))
-    a = _accel.interp_multilinear_np(vals, dim, res, pts)
-    b = _accel.interp_multilinear_nb(vals, dim, res, pts)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
-
-
-@needs_numba
-@pytest.mark.parametrize("dim,res", [(1, 17), (2, 9)])
-def test_suffstats_backends_agree(dim, res):
-    rng = _rng()
-    g = rng.normal(size=res**dim)
-    pts = rng.random((50, dim))
-    w = trapezoid_weights(dim, res)
-    a = _accel.sgcp_suffstats_np(g, w, pts, dim, res)
-    b = _accel.sgcp_suffstats_nb(g, w, pts, dim, res)
-    np.testing.assert_allclose(a, b, rtol=1e-10)
-
-
-@needs_numba
-def test_sq_exp_cov_backends_agree():
-    pts = _rng().random((40, 2))
-    a = _accel.sq_exp_cov_np(pts, 1.7)
-    b = _accel.sq_exp_cov_nb(pts, 1.7)
-    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+    with np.errstate(over="raise"):
+        s = sigmoid(x)
+    assert s[0] == 0.0 and s[-1] == 1.0  # saturates without overflow
 
 
 def test_trapezoid_weights_sum_to_one():
@@ -83,58 +27,3 @@ def test_trapezoid_weights_cached_and_readonly():
     assert w1 is w2
     with pytest.raises(ValueError):
         w1[0] = 99.0
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("SGCP_BACKEND", None)
-    else:
-        env["SGCP_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "import sgcp; print(sgcp.BACKEND)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_flag_selects_numpy():
-    out = _backend_in_subprocess("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba():
-    out = _backend_in_subprocess("numba")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numba"
-
-
-def test_env_flag_rejects_unknown():
-    out = _backend_in_subprocess("fortran")
-    assert out.returncode != 0
-    assert "SGCP_BACKEND" in out.stderr
-
-
-@needs_numba
-def test_chain_results_close_across_backends(tmp_path):
-    """End-to-end: the same seeded chain gives statistically identical results
-    under both backends (not bitwise — rounding differences compound through
-    the accept/reject path — but summary statistics must be close)."""
-    code = (
-        "import numpy as np, sgcp\n"
-        "truth = sgcp.get_truth('sin1d').field(16)\n"
-        "rng = sgcp.rng_for(3, 0)\n"
-        "pats = [sgcp.simulate_thinning(3.0, truth, rng) for _ in range(60)]\n"
-        "cfg = sgcp.ChainConfig(n_iter=6000, n_burn=2000, thin=4, resolution=16)\n"
-        "ch = sgcp.run_chain(pats, sgcp.SgcpPrior(dim=1), cfg, sgcp.rng_for(3, 1))\n"
-        "print(repr(float(np.mean(ch.lambda_star))), repr(float(np.mean(ch.ell))))\n"
-    )
-    outs = {}
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, SGCP_BACKEND=backend)
-        r = subprocess.run([sys.executable, "-c", code],
-                           capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs[backend] = [float(tok) for tok in r.stdout.split()]
-    a, b = outs["numpy"], outs["numba"]
-    np.testing.assert_allclose(a, b, rtol=0.15)

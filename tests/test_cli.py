@@ -112,6 +112,23 @@ class TestFit:
                      "--n-iter", "100", "--n-burn", "10"])
         assert code == 3
 
+    def test_nan_coordinate_is_data_error(self, tmp_path):
+        bad = tmp_path / "nan"
+        bad.mkdir()
+        (bad / "pattern_0000.csv").write_text("1,resolution-free\n0.25\nnan\n")
+        code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o3"),
+                     "--n-iter", "100", "--n-burn", "10"])
+        assert code == 3
+
+    def test_unsampled_link_is_config_error(self, sim_dir, tmp_path):
+        cfg = tmp_path / "probit.ini"
+        cfg.write_text("[prior]\nlink = probit\n")
+        code = main(["fit", "--data", str(sim_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "o4"), "--n-iter", "100", "--n-burn", "10"])
+        assert code == 2
+        # the analytic checks do not sample, so they still accept the link
+        assert main(["verify-priors", "--config", str(cfg)]) == 0
+
 
 class TestConfigHandling:
     def test_config_file_applies(self, tmp_path):

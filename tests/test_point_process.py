@@ -37,6 +37,8 @@ class TestPointPattern:
             PointPattern(1, np.array([[1.2]]))
         with pytest.raises(ValueError):
             PointPattern(2, np.array([[0.5, -0.1]]))
+        with pytest.raises(ValueError):
+            PointPattern(1, np.array([[0.5], [np.nan]]))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -57,6 +59,8 @@ class TestIntensityField:
         grid = Grid(1, 3)
         with pytest.raises(ValueError):
             IntensityField(grid, np.array([1.0, -0.5, 2.0]))
+        with pytest.raises(ValueError):
+            IntensityField(grid, np.array([1.0, np.nan, 2.0]))
 
     def test_at_nodes_returns_node_values(self):
         grid = Grid(1, 5)
@@ -205,6 +209,9 @@ class TestCsvFormats:
     def test_out_of_bounds_coordinate_rejected(self, tmp_path):
         path = tmp_path / "oob.csv"
         path.write_text("1,resolution-free\n1.5\n")
+        with pytest.raises(DataError):
+            read_pattern_csv(path)
+        path.write_text("1,resolution-free\n0.5\nnan\n")
         with pytest.raises(DataError):
             read_pattern_csv(path)
 
