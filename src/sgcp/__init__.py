@@ -10,10 +10,10 @@ concentrates around a known truth as replicated patterns accumulate.
 """
 
 from ._accel import BACKEND
-from .config import ConfigError, HarnessConfig, load_config, rng_for, seed_fingerprint
-from .experiment import (CellResult, ContractionReport, ExperimentConfig,
-                         count_inversions, fit_rate_slope, report_to_dict,
-                         run_contraction_experiment, write_cells_csv,
+from .config import (ConfigError, ExperimentConfig, HarnessConfig, load_config, rng_for,
+                     seed_fingerprint)
+from .experiment import (CellResult, ContractionReport, count_inversions, fit_rate_slope,
+                         report_to_dict, run_contraction_experiment, write_cells_csv,
                          write_medians_csv, write_report_json)
 from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,

@@ -17,6 +17,7 @@ names — so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,8 +27,8 @@ import numpy as np
 
 from ._accel import BACKEND
 from .config import ConfigError, HarnessConfig, load_config, rng_for
-from .experiment import (FLOAT_FMT, ExperimentConfig, run_contraction_experiment,
-                         write_cells_csv, write_medians_csv, write_report_json)
+from .experiment import (FLOAT_FMT, run_contraction_experiment, write_cells_csv,
+                         write_medians_csv, write_report_json)
 from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
 from .kernels import (FactorizationError, KernelSpec, QuadratureError, SPECTRAL,
                       SpectralDensity, check_exponential_moment)
@@ -89,12 +90,15 @@ def _write_draws_csv(chain: PosteriorChain, path, meta: dict) -> None:
 
 
 def cmd_simulate(args, cfg: HarnessConfig) -> int:
-    truth = get_truth(cfg.truth)
-    field = truth.field(cfg.resolution)
+    if args.n < 0:
+        raise ConfigError(f"--n must be non-negative, got {args.n}")
+    exp = cfg.experiment
+    truth = get_truth(exp.truth)
+    field = truth.field(exp.resolution)
     ceiling = float(np.max(field.values))
     out = _ensure_out(args)
-    rng = rng_for(cfg.seed)
-    file_meta = {"config": cfg.fingerprint(), "seed": str(cfg.seed), "truth": cfg.truth}
+    rng = rng_for(exp.seed)
+    file_meta = {"config": cfg.fingerprint(), "seed": str(exp.seed), "truth": exp.truth}
     counts = []
     for i in range(args.n):
         pattern = simulate_thinning(ceiling, field, rng)
@@ -108,10 +112,10 @@ def cmd_simulate(args, cfg: HarnessConfig) -> int:
         "counts": counts,
         "integral": integrate_field(field),
         "n": args.n,
-        "resolution": cfg.resolution,
-        "seed": cfg.seed,
+        "resolution": exp.resolution,
+        "seed": exp.seed,
         "total_points": int(sum(counts)),
-        "truth": cfg.truth,
+        "truth": exp.truth,
     }, os.path.join(out, "simulate.json"))
     print(f"wrote {args.n} patterns ({sum(counts)} points) to {out}")
     return EXIT_OK
@@ -128,14 +132,14 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         raise DataError(f"patterns mix dimensions {sorted(dims)}")
     dim = dims.pop()
     prior = cfg.prior(dim)
-    chain_cfg = cfg.chain_config()
-    chain = run_chain(patterns, prior, chain_cfg, rng_for(cfg.seed, 1))
+    seed, chain_cfg = cfg.experiment.seed, cfg.experiment.chain
+    chain = run_chain(patterns, prior, chain_cfg, rng_for(seed, 1))
     out = _ensure_out(args)
-    file_meta = {"config": cfg.fingerprint(), "seed": str(cfg.seed)}
+    file_meta = {"config": cfg.fingerprint(), "seed": str(seed)}
     mean_field = chain.mean_intensity()
     write_field_csv(mean_field, os.path.join(out, "posterior_mean.csv"), meta=file_meta)
     _write_chain_jsonl(chain, os.path.join(out, "chain.jsonl"),
-                       cfg.fingerprint(), cfg.seed)
+                       cfg.fingerprint(), seed)
     _write_draws_csv(chain, os.path.join(out, "intensity_draws.csv"), file_meta)
     summary = {
         "accept_ell": chain.accept_ell,
@@ -150,7 +154,7 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         "n_patterns": len(patterns),
         "n_points": int(sum(p.n for p in patterns)),
         "resolution": chain_cfg.resolution,
-        "seed": cfg.seed,
+        "seed": seed,
     }
     truth_path = os.path.join(args.data, "truth.csv")
     if os.path.exists(truth_path):
@@ -169,18 +173,10 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
 
 
 def cmd_bench(args, cfg: HarnessConfig) -> int:
-    exp_cfg = ExperimentConfig(
-        truth=cfg.truth,
-        ns=cfg.ns,
-        replicates=cfg.replicates,
-        resolution=cfg.resolution,
-        seed=cfg.seed,
-        radius_constant=cfg.radius_constant,
-        chain=cfg.chain_config(),
-        synthetic=args.synthetic,
-    )
-    truth = get_truth(cfg.truth)
-    prior = cfg.prior(truth.dim)
+    if not args.band > 0.0:
+        raise ConfigError(f"--band must be positive, got {args.band}")
+    exp_cfg = dataclasses.replace(cfg.experiment, synthetic=args.synthetic)
+    prior = cfg.prior(get_truth(exp_cfg.truth).dim)
 
     def progress(cell):
         print(f"  n={cell.n} rep={cell.replicate}: distance {cell.distance_mean:.5f}, "
@@ -189,7 +185,7 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
     report = run_contraction_experiment(exp_cfg, prior=prior,
                                         progress=progress if args.verbose else None)
     out = _ensure_out(args)
-    file_meta = {"config": cfg.fingerprint(), "seed": str(cfg.seed)}
+    file_meta = {"config": cfg.fingerprint(), "seed": str(exp_cfg.seed)}
     write_report_json(report, os.path.join(out, "report.json"),
                       extra={"config_fingerprint": cfg.fingerprint()})
     write_cells_csv(report, os.path.join(out, "cells.csv"), meta=file_meta)
@@ -220,7 +216,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
     grid = Grid(args.dim, args.resolution)
     prior = cfg.prior(args.dim)
     result = geweke_joint_test(
-        prior, grid, rng_for(cfg.seed, 7),
+        prior, grid, rng_for(cfg.experiment.seed, 7),
         n_rounds=args.rounds,
         sweeps_per_round=args.sweeps,
         mutate_drop_integral=args.mutate,
@@ -236,7 +232,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
             "mutate": args.mutate,
             "n_rounds": result.n_rounds,
             "resolution": args.resolution,
-            "seed": cfg.seed,
+            "seed": cfg.experiment.seed,
             "z_scores": {k: (None if not math.isfinite(v) else v)
                          for k, v in result.z_scores.items()},
         }, os.path.join(args.out, "calibrate.json"))
@@ -290,7 +286,7 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
             "config_fingerprint": cfg.fingerprint(),
             "dim": args.dim,
             "link": cfg.link,
-            "seed": cfg.seed,
+            "seed": cfg.experiment.seed,
         }, os.path.join(args.out, "verify.json"))
     return EXIT_OK if all_ok else EXIT_CHECK
 

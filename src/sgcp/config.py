@@ -1,11 +1,15 @@
-"""Harness configuration: INI files, flag overrides, and seed derivation.
+"""Harness configuration: the config types, INI files, flag overrides, and seeds.
 
 Configuration lives in an INI file with three sections (``experiment``,
 ``chain``, ``prior``); every key has a default, so an empty or absent file is
 valid. Command-line flags are merged as ``section.key`` overrides before
-parsing, keeping one validation path. The default master seed is a fixed
-constant — never the clock — so every run is reproducible unless the caller
-asks otherwise.
+parsing, keeping one validation path. ``load_config`` parses each value as the
+type of the field it fills: ``[chain]`` becomes a ``ChainConfig``,
+``[experiment]`` the ``ExperimentConfig`` that holds it, and ``[prior]`` the
+hyperparameters of ``HarnessConfig``. The dataclasses check their own values,
+so an out-of-range setting is refused at load time by every command. The
+default master seed is a fixed constant — never the clock — so every run is
+reproducible unless the caller asks otherwise.
 
 Independent random streams are derived from the master seed through a spawn
 tree, and each stream's first 64-bit word is recorded in outputs as its
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,79 +73,77 @@ def seed_fingerprint(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
+def _parse_ns(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+# annotated field type -> (parser, what the error message says was expected)
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: _BOOL[text.lower()], "a boolean"),
+    "str": (str, "a string"),
+    "tuple": (_parse_ns, "comma-separated integers"),
+}
 
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}") from None
+def _from_section(cls, section: str, values: dict, **given):
+    """Build ``cls`` from one INI section, parsing each value as the type of its field."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, text in values.items():
+        parse, expected = _PARSERS[types[key]]
+        try:
+            given[key] = parse(text.strip())
+        except (KeyError, ValueError):
+            raise ConfigError(f"{section}.{key}: expected {expected}, got {text!r}") from None
+    return cls(**given)
 
 
-def _parse_ns(section: str, key: str, raw: str) -> tuple:
-    try:
-        ns = tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected comma-separated integers, got {raw!r}") from None
-    if len(ns) < 2:
-        raise ConfigError(f"{section}.{key}: need at least two design sizes")
-    if list(ns) != sorted(set(ns)):
-        raise ConfigError(f"{section}.{key}: design sizes must be strictly increasing")
-    return ns
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Design of one contraction run; ``chain`` runs at the design's resolution."""
+
+    truth: str = "sin1d"
+    ns: tuple = (25, 50, 100, 200, 400)
+    replicates: int = 8
+    resolution: int = 64
+    seed: int = 20240601
+    radius_constant: float = 2.0
+    chain: ChainConfig = field(default_factory=ChainConfig)
+    synthetic: bool = False
+    synthetic_constant: float = 1.0
+    synthetic_exponent: float = 0.5
+
+    def __post_init__(self):
+        if len(self.ns) < 2 or any(n < 1 for n in self.ns):
+            raise ValueError("need at least two positive design sizes")
+        if list(self.ns) != sorted(set(self.ns)):
+            raise ValueError("design sizes must be strictly increasing")
+        if self.replicates < 1:
+            raise ValueError("replicates must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.radius_constant > 0.0:
+            raise ValueError("radius constant must be positive")
+        if self.chain.resolution != self.resolution:
+            object.__setattr__(self, "chain", replace(self.chain, resolution=self.resolution))
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Fully parsed configuration with typed fields."""
+    """Parsed configuration: the experiment design plus the prior hyperparameters.
 
-    truth: str
-    ns: tuple
-    replicates: int
-    resolution: int
-    seed: int
-    radius_constant: float
-    n_iter: int
-    n_burn: int
-    thin: int
-    step_log_ell: float
-    step_log_lambda: float
-    adapt: bool
-    adapt_target: float
+    The prior is kept as raw hyperparameters because its dimension comes from
+    the data or the command, not from the file.
+    """
+
+    experiment: ExperimentConfig
     link: str
     ell_shape: float
     ell_rate: float
     lam_shape: float
     lam_rate: float
     raw: tuple  # canonical (section.key, value) pairs, for fingerprinting
-
-    def chain_config(self, **overrides) -> ChainConfig:
-        kwargs = dict(
-            n_iter=self.n_iter,
-            n_burn=self.n_burn,
-            thin=self.thin,
-            resolution=self.resolution,
-            step_log_ell=self.step_log_ell,
-            step_log_lambda=self.step_log_lambda,
-            adapt=self.adapt,
-            adapt_target=self.adapt_target,
-        )
-        kwargs.update(overrides)
-        try:
-            return ChainConfig(**kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
 
     def prior(self, dim: int) -> SgcpPrior:
         try:
@@ -188,33 +190,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
 
     raw = tuple(sorted((f"{sec}.{key}", val.strip())
                        for sec, vals in merged.items() for key, val in vals.items()))
-    e, c, p = merged["experiment"], merged["chain"], merged["prior"]
-    cfg = HarnessConfig(
-        truth=e["truth"].strip(),
-        ns=_parse_ns("experiment", "ns", e["ns"]),
-        replicates=_parse_int("experiment", "replicates", e["replicates"]),
-        resolution=_parse_int("experiment", "resolution", e["resolution"]),
-        seed=_parse_int("experiment", "seed", e["seed"]),
-        radius_constant=_parse_float("experiment", "radius_constant", e["radius_constant"]),
-        n_iter=_parse_int("chain", "n_iter", c["n_iter"]),
-        n_burn=_parse_int("chain", "n_burn", c["n_burn"]),
-        thin=_parse_int("chain", "thin", c["thin"]),
-        step_log_ell=_parse_float("chain", "step_log_ell", c["step_log_ell"]),
-        step_log_lambda=_parse_float("chain", "step_log_lambda", c["step_log_lambda"]),
-        adapt=_parse_bool("chain", "adapt", c["adapt"]),
-        adapt_target=_parse_float("chain", "adapt_target", c["adapt_target"]),
-        link=p["link"].strip(),
-        ell_shape=_parse_float("prior", "ell_shape", p["ell_shape"]),
-        ell_rate=_parse_float("prior", "ell_rate", p["ell_rate"]),
-        lam_shape=_parse_float("prior", "lam_shape", p["lam_shape"]),
-        lam_rate=_parse_float("prior", "lam_rate", p["lam_rate"]),
-        raw=raw,
-    )
-    # fail fast on values the dataclasses would reject
-    cfg.chain_config()
-    cfg.prior(1)
-    if cfg.replicates < 1:
-        raise ConfigError("experiment.replicates must be positive")
-    if cfg.resolution < 2:
-        raise ConfigError("experiment.resolution must be at least 2")
+    try:
+        chain = _from_section(ChainConfig, "chain", merged["chain"])
+        experiment = _from_section(ExperimentConfig, "experiment", merged["experiment"],
+                                   chain=chain)
+    except ValueError as e:  # the dataclasses' own checks
+        raise ConfigError(str(e)) from None
+    cfg = _from_section(HarnessConfig, "prior", merged["prior"], experiment=experiment, raw=raw)
+    cfg.prior(1)  # fail fast on hyperparameters the prior would reject
     return cfg

@@ -9,54 +9,27 @@ compared with the theoretical exponent ``-beta / (2 beta + d)``.
 A synthetic mode bypasses the sampler and injects distances lying exactly on
 a power law; it exercises every piece of the aggregation, fitting, and
 reporting pipeline with a known answer.
+
+The design of a run, ``ExperimentConfig``, is defined in ``config`` with the
+other config types, which ``load_config`` builds from the INI file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import rng_for, seed_fingerprint
-from .inference import ChainConfig, run_chain
+from .config import ExperimentConfig, rng_for, seed_fingerprint
+from .inference import run_chain
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import _write_meta, simulate_thinning
 from .priors import SgcpPrior
 from .truths import get_truth
 
 FLOAT_FMT = "%.17g"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Design of one contraction run."""
-
-    truth: str = "sin1d"
-    ns: tuple = (25, 50, 100, 200, 400)
-    replicates: int = 8
-    resolution: int = 64
-    seed: int = 20240601
-    radius_constant: float = 2.0
-    chain: ChainConfig = field(default_factory=ChainConfig)
-    synthetic: bool = False
-    synthetic_constant: float = 1.0
-    synthetic_exponent: float = 0.5
-
-    def __post_init__(self):
-        if len(self.ns) < 2 or any(n < 1 for n in self.ns):
-            raise ValueError("need at least two positive design sizes")
-        if list(self.ns) != sorted(set(self.ns)):
-            raise ValueError("design sizes must be strictly increasing")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
-        if self.radius_constant <= 0.0:
-            raise ValueError("radius constant must be positive")
-        if self.chain.resolution != self.resolution:
-            object.__setattr__(self, "chain",
-                               ChainConfig(**{**self.chain.__dict__, "resolution": self.resolution}))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ from .priors import LOGISTIC, SgcpPrior, sample_prior_intensity
 
 TWO_PI = 2.0 * math.pi
 
+# bracket shrinks an elliptical slice move may take before it gives up
+MAX_SHRINK = 200
+
 
 class NumericalError(RuntimeError):
     """Internal consistency of the sampler broke down."""
@@ -55,7 +58,6 @@ class ChainConfig:
     update_ell: bool = True
     update_lambda_star: bool = True
     check_every: int = 1000
-    max_shrink: int = 200
 
     def __post_init__(self):
         if self.n_iter <= 0 or not (0 <= self.n_burn < self.n_iter):
@@ -258,7 +260,7 @@ class _Sampler:
         log_u = self._loglik + math.log(rng.random())
         theta = rng.random() * TWO_PI
         lo, hi = theta - TWO_PI, theta
-        for _ in range(self.config.max_shrink):
+        for _ in range(MAX_SHRINK):
             white_prop = st.white * math.cos(theta) + nu * math.sin(theta)
             g_prop = self._L @ white_prop
             suff_prop = self._suffstats(g_prop)
@@ -483,6 +485,8 @@ def geweke_joint_test(
     reports divergence outright — under a correct kernel the prior puts
     vanishing mass there, while broken kernels drift through it quickly.
     """
+    if n_rounds < 1 or sweeps_per_round < 1:
+        raise ValueError("need at least one round and one sweep per round")
     config = ChainConfig(n_iter=2, n_burn=1, resolution=grid.resolution,
                          adapt=False, check_every=0)
     sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)

@@ -16,7 +16,7 @@ not kernel-grade (infinite second moment) and is never used to build a GP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -117,9 +117,6 @@ class KernelSpec:
             raise ValueError("delta must be positive")
         if self.family == SPECTRAL and self.spectral_density is None:
             raise ValueError("spectral family requires a spectral_density")
-
-    def with_ell(self, ell: float) -> "KernelSpec":
-        return replace(self, ell=ell)
 
 
 @dataclass(frozen=True)

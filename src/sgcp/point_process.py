@@ -91,9 +91,6 @@ class PointPattern:
         inside = np.all((self.points >= lo) & (self.points < hi), axis=1)
         return int(np.count_nonzero(inside))
 
-    def to_csv(self, path, meta: dict | None = None) -> None:
-        write_pattern_csv(self, path, meta=meta)
-
 
 @dataclass(frozen=True)
 class IntensityField:
@@ -135,9 +132,6 @@ class IntensityField:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (n, {self.dim})")
         return interp_multilinear(self.values, self.dim, self.resolution, pts)
-
-    def to_csv(self, path, meta: dict | None = None) -> None:
-        write_field_csv(self, path, meta=meta)
 
 
 def simulate_thinning(

@@ -164,6 +164,32 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x"), "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("command", [["simulate", "--n", "2"], ["verify-priors"]],
+                             ids=["simulate", "verify-priors"])
+    @pytest.mark.parametrize("ini, flags", [
+        ("[experiment]\nradius_constant = -1\n", []),
+        ("[experiment]\nns = 0, 5\n", []),
+        ("", ["--seed", "-3"]),
+    ], ids=["radius-constant", "design-size", "seed"])
+    def test_out_of_range_value_rejected_by_every_command(self, tmp_path, command, ini, flags):
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "x"
+        assert main(command + flags + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "-5"],
+    ["calibrate", "--rounds", "0"],
+    ["calibrate", "--sweeps", "0"],
+    ["bench", "--synthetic", "--band", "-1"],
+], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band"])
+def test_bad_subcommand_argument_is_config_error(tmp_path, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
 
 class TestBench:
     def test_synthetic_run_and_baseline_pass(self, tmp_path):
