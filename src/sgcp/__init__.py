@@ -18,8 +18,7 @@ from .experiment import (CellResult, ContractionReport, count_inversions, fit_ra
 from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,
                         initial_state, run_chain)
-from .kernels import (FactorizationError, GPSample, KernelSpec, MomentCheck,
-                      QuadratureError, SPECTRAL, SQUARED_EXPONENTIAL, SpectralDensity,
+from .kernels import (FactorizationError, MomentCheck, QuadratureError, SpectralDensity,
                       check_exponential_moment, chol_with_jitter, cov_matrix,
                       kernel_eval, sample_gp, spectral_characteristic,
                       spectral_covariance_quadrature)

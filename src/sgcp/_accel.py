@@ -90,14 +90,6 @@ def sgcp_suffstats(
     return sum_log, int_s
 
 
-def sq_exp_cov(nodes: np.ndarray, ell: float) -> np.ndarray:
-    """Squared-exponential covariance exp(-ell^2 ||s-t||^2) on node pairs."""
-    sq = np.sum(nodes * nodes, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (nodes @ nodes.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-(ell * ell) * d2)
-
-
 @lru_cache(maxsize=32)
 def trapezoid_weights(dim: int, resolution: int) -> np.ndarray:
     """Tensor-product trapezoid weights for the regular grid, flat C-order."""

@@ -30,8 +30,8 @@ from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import (FLOAT_FMT, run_contraction_experiment, write_cells_csv,
                          write_medians_csv, write_report_json)
 from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
-from .kernels import (FactorizationError, KernelSpec, QuadratureError, SPECTRAL,
-                      SpectralDensity, check_exponential_moment)
+from .kernels import (FactorizationError, QuadratureError, SpectralDensity,
+                      check_exponential_moment)
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, _write_meta,
                             integrate_field, read_field_csv, read_pattern_csv,
@@ -213,6 +213,8 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
 
 
 def cmd_calibrate(args, cfg: HarnessConfig) -> int:
+    if not args.z_threshold > 0.0:
+        raise ConfigError(f"--z-threshold must be positive, got {args.z_threshold}")
     grid = Grid(args.dim, args.resolution)
     prior = cfg.prior(args.dim)
     result = geweke_joint_test(
@@ -252,17 +254,11 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
     r = validate_max_intensity_tail(prior.lam_prior)
     checks.append(("ceiling-exponential-tail", r.passed, r.detail, r.witness))
 
-    spec = KernelSpec(family=SPECTRAL, ell=1.0,
-                      spectral_density=SpectralDensity("gaussian", args.dim),
-                      delta=args.delta)
-    m = check_exponential_moment(spec)
+    m = check_exponential_moment(SpectralDensity("gaussian", args.dim), args.delta)
     checks.append(("spectral-exponential-moment", m.converged and math.isfinite(m.value),
                    f"value {m.value:.6g} after {m.shells} shells", None))
 
-    heavy = KernelSpec(family=SPECTRAL, ell=1.0,
-                       spectral_density=SpectralDensity("cauchy", args.dim),
-                       delta=args.delta)
-    mh = check_exponential_moment(heavy)
+    mh = check_exponential_moment(SpectralDensity("cauchy", args.dim), args.delta)
     checks.append(("heavy-tail-probe-divergence", not mh.converged,
                    f"divergence detected after {mh.shells} shells", None))
 

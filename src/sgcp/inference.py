@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
-from .kernels import chol_with_jitter, cov_matrix
+from .kernels import MAX_DENSE_NODES, chol_with_jitter, cov_matrix
 from .point_process import Grid, IntensityField, PointPattern, integrate_field, simulate_thinning
 from .priors import LOGISTIC, SgcpPrior, sample_prior_intensity
 
@@ -37,6 +37,14 @@ TWO_PI = 2.0 * math.pi
 
 # bracket shrinks an elliptical slice move may take before it gives up
 MAX_SHRINK = 200
+# sweeps between scratch recomputations of the cached log likelihood
+CHECK_EVERY = 1000
+# the chained side's standard errors in the joint calibration test come
+# from this many batch means, and each batch needs at least two rounds
+N_BATCHES = 32
+MIN_ROUNDS = 2 * N_BATCHES
+# a chained ceiling above this reports the calibration run as diverged
+LAMBDA_CAP = 1e5
 
 
 class NumericalError(RuntimeError):
@@ -57,7 +65,6 @@ class ChainConfig:
     adapt_target: float = 0.3
     update_ell: bool = True
     update_lambda_star: bool = True
-    check_every: int = 1000
 
     def __post_init__(self):
         if self.n_iter <= 0 or not (0 <= self.n_burn < self.n_iter):
@@ -141,10 +148,12 @@ class _Sampler:
 
     Caches the Cholesky factor for the current length scale, the
     interpolation stencil of the data points and the two likelihood
-    statistics. Only the logistic link is implemented; a prior
-    with another link is refused. ``mutate_drop_integral`` deliberately
-    corrupts the likelihood (for calibration-test power checks) by dropping
-    the integral term.
+    statistics. Only the logistic link is implemented; a prior with another
+    link is refused, and so is a grid with more than ``MAX_DENSE_NODES``
+    nodes, whose dense covariance would be filled and factored on every
+    length-scale proposal. ``mutate_drop_integral`` deliberately corrupts the
+    likelihood (for calibration-test power checks) by dropping the integral
+    term.
     """
 
     def __init__(self, prior: SgcpPrior, grid: Grid, config: ChainConfig,
@@ -154,6 +163,9 @@ class _Sampler:
         if prior.link != LOGISTIC:
             raise ValueError(f"the sampler implements only the logistic link, "
                              f"not {prior.link.name!r}")
+        if grid.n_nodes > MAX_DENSE_NODES:
+            raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler's dense "
+                             f"factorization is guarded at {MAX_DENSE_NODES}")
         self.prior = prior
         self.grid = grid
         self.config = config
@@ -198,7 +210,7 @@ class _Sampler:
         self._refresh_likelihood()
 
     def _factor(self, ell: float) -> np.ndarray:
-        K = cov_matrix(self.prior.kernel(ell), self.nodes)
+        K = cov_matrix(ell, self.nodes)
         L, _ = chol_with_jitter(K)
         return L
 
@@ -397,7 +409,7 @@ def run_chain(
             sampler.adapt_steps(k)
         if k == config.n_burn - 1:
             sampler.reset_accept_counts()
-        if config.check_every and (k + 1) % config.check_every == 0:
+        if (k + 1) % CHECK_EVERY == 0:
             sampler.scratch_check()
         if k >= config.n_burn and (k - config.n_burn) % config.thin == 0:
             st = sampler.state
@@ -452,12 +464,10 @@ class GewekeResult:
         return max(abs(v) for v in self.z_scores.values())
 
 
-def _batch_means_se(x: np.ndarray, n_batches: int = 32) -> float:
-    n = x.shape[0]
-    b = max(n // n_batches, 1)
-    usable = b * n_batches if b * n_batches <= n else n
-    means = np.mean(x[:usable].reshape(-1, b), axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(means.shape[0]))
+def _batch_means_se(x: np.ndarray) -> float:
+    b = x.shape[0] // N_BATCHES
+    means = np.mean(x[:b * N_BATCHES].reshape(N_BATCHES, b), axis=1)
+    return float(np.std(means, ddof=1) / math.sqrt(N_BATCHES))
 
 
 def _stat_row(lam_star: float, ell: float, mean_intensity: float, count: int) -> tuple:
@@ -472,7 +482,6 @@ def geweke_joint_test(
     n_rounds: int = 50000,
     sweeps_per_round: int = 5,
     mutate_drop_integral: bool = False,
-    lambda_cap: float = 1e5,
 ) -> GewekeResult:
     """Joint distribution check of the sampler against the generative model.
 
@@ -481,14 +490,14 @@ def geweke_joint_test(
     state simulation with posterior sweeps, whose marginal must also be the
     prior if (and in practice only if) the transition kernel is correct.
     z-scores compare the two sides per statistic; the chained side uses
-    batch-means standard errors. A ceiling excursion above ``lambda_cap``
-    reports divergence outright — under a correct kernel the prior puts
-    vanishing mass there, while broken kernels drift through it quickly.
+    batch-means standard errors, so at least ``MIN_ROUNDS`` rounds are
+    required. A ceiling excursion above ``LAMBDA_CAP`` reports divergence
+    outright — under a correct kernel the prior puts vanishing mass there,
+    while broken kernels drift through it quickly.
     """
-    if n_rounds < 1 or sweeps_per_round < 1:
-        raise ValueError("need at least one round and one sweep per round")
-    config = ChainConfig(n_iter=2, n_burn=1, resolution=grid.resolution,
-                         adapt=False, check_every=0)
+    if n_rounds < MIN_ROUNDS or sweeps_per_round < 1:
+        raise ValueError(f"need at least {MIN_ROUNDS} rounds and one sweep per round")
+    config = ChainConfig(resolution=grid.resolution)
     sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
 
     forward = np.empty((n_rounds, len(_GEWEKE_STATS)))
@@ -506,13 +515,10 @@ def geweke_joint_test(
         log_lambda_star=math.log(latents["lambda_star"]),
     )
     sampler.set_state(state)
-    diverged = False
-    rounds_done = 0
     for i in range(n_rounds):
         lam_star = math.exp(sampler.state.log_lambda_star)
-        if lam_star > lambda_cap:
-            diverged = True
-            break
+        if lam_star > LAMBDA_CAP:
+            return GewekeResult({name: float("inf") for name in _GEWEKE_STATS}, True, i)
         field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
         pattern = simulate_thinning(lam_star, field, rng)
         chained[i] = _stat_row(lam_star, math.exp(sampler.state.log_ell),
@@ -520,13 +526,7 @@ def geweke_joint_test(
         sampler.set_data([pattern])
         for _ in range(sweeps_per_round):
             sampler.sweep(rng)
-        rounds_done = i + 1
 
-    if diverged or rounds_done < max(64, n_rounds // 10):
-        z = {name: float("inf") for name in _GEWEKE_STATS}
-        return GewekeResult(z, True, rounds_done)
-
-    chained = chained[:rounds_done]
     z_scores = {}
     for j, name in enumerate(_GEWEKE_STATS):
         mc_se = float(np.std(forward[:, j], ddof=1) / math.sqrt(n_rounds))
@@ -534,5 +534,5 @@ def geweke_joint_test(
         denom = math.sqrt(mc_se**2 + sc_se**2)
         diff = float(np.mean(chained[:, j]) - np.mean(forward[:, j]))
         z_scores[name] = diff / denom if denom > 0.0 else 0.0
-    return GewekeResult(z_scores, False, rounds_done)
+    return GewekeResult(z_scores, False, n_rounds)
 

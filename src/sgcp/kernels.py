@@ -1,36 +1,40 @@
-"""Stationary GP kernels in spectral form and exact sampling on grids.
+"""The latent covariance, exact sampling on grids, and its spectral checks.
 
-A stationary covariance is either the squared-exponential closed form
-``k(s,t) = exp(-ell^2 ||t-s||^2)`` or the Fourier transform of an isotropic
-spectral density ``mu``::
+The latent field's covariance is the rescaled squared exponential
+``k(s,t) = exp(-ell^2 ||t-s||^2)``; it is the only covariance the program
+builds. Its spectral form, the Fourier transform of an isotropic spectral
+density ``mu``::
 
     k(s,t) = Re  integral  exp(-i <xi, ell (t-s)>) mu(xi) dxi
 
-The built-in Gaussian spectral family with per-axis standard deviation
-sqrt(2) reproduces the squared-exponential closed form exactly, which gives
-the quadrature path an independent oracle. A heavy-tailed Cauchy family is
-included to exercise the exponential-moment check's divergent branch; it is
-not kernel-grade (infinite second moment) and is never used to build a GP.
+serves only to check the conditions of the contraction theory: the Gaussian
+spectral family with per-axis standard deviation sqrt(2) reproduces the
+closed form exactly, and the exponential moment of ``mu`` must be finite. A
+heavy-tailed Cauchy family is included to exercise the exponential-moment
+check's divergent branch; it is not kernel-grade (infinite second moment).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sci_integrate
 
-from ._accel import sq_exp_cov
 from .point_process import Grid
-
-SQUARED_EXPONENTIAL = "squared-exponential"
-SPECTRAL = "spectral"
 
 MAX_DENSE_NODES = 4096
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
+
+# Gauss-Hermite nodes per axis of the Gaussian-family spectral quadrature
+GH_NODES = 80
+# the exponential-moment probe reports divergence once its running total
+# passes MOMENT_TOTAL_CAP or its shells reach MOMENT_MAX_RADIUS
+MOMENT_TOTAL_CAP = 1e12
+MOMENT_MAX_RADIUS = 64.0
 
 
 class FactorizationError(RuntimeError):
@@ -94,66 +98,24 @@ class SpectralDensity:
         return norm * (1.0 + r * r) ** (-(d + 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Stationary covariance: family, inverse length scale, spectral descriptor.
-
-    ``ell`` is the inverse length scale (larger means rougher paths). ``delta``
-    is the tilt used by the exponential-moment check. The squared-exponential
-    family is normalized to unit marginal variance.
-    """
-
-    family: str = SQUARED_EXPONENTIAL
-    ell: float = 1.0
-    spectral_density: SpectralDensity | None = None
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in (SQUARED_EXPONENTIAL, SPECTRAL):
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.ell <= 0.0:
-            raise ValueError("ell must be positive")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.family == SPECTRAL and self.spectral_density is None:
-            raise ValueError("spectral family requires a spectral_density")
-
-
-@dataclass(frozen=True)
-class GPSample:
-    """A latent field draw: values at the nodes of an evaluation grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
-        if vals.shape[0] != self.grid.n_nodes:
-            raise ValueError("value count does not match grid node count")
-        object.__setattr__(self, "values", vals)
-
-
 @lru_cache(maxsize=8)
 def _hermgauss(n: int):
     x, w = np.polynomial.hermite.hermgauss(n)
     return x, w
 
 
-def spectral_characteristic(spec: KernelSpec, lag: np.ndarray, gh_nodes: int = 80) -> complex:
+def spectral_characteristic(mu: SpectralDensity, ell: float, lag: np.ndarray) -> complex:
     """Complex value of ``integral exp(-i <xi, ell*lag>) mu(xi) dxi``.
 
     Gaussian family: tensorized Gauss-Hermite (spectrally accurate). Other
     isotropic families: adaptive cosine quadrature, d = 1 only.
     """
-    mu = spec.spectral_density
-    if mu is None:
-        raise ValueError("spectral quadrature requires a spectral density")
     lag = np.atleast_1d(np.asarray(lag, dtype=np.float64))
     if lag.shape != (mu.dim,):
         raise ValueError(f"lag must have shape ({mu.dim},)")
-    a = spec.ell * lag
+    a = ell * lag
     if mu.name == "gaussian":
-        u, w = _hermgauss(gh_nodes)
+        u, w = _hermgauss(GH_NODES)
         out = complex(1.0, 0.0)
         for ax in range(mu.dim):
             phase = -math.sqrt(2.0) * mu.sigma * u * a[ax]
@@ -178,45 +140,31 @@ def spectral_characteristic(spec: KernelSpec, lag: np.ndarray, gh_nodes: int = 8
     return complex(2.0 * val, 0.0)
 
 
-def spectral_covariance_quadrature(spec: KernelSpec, lag: np.ndarray) -> float:
+def spectral_covariance_quadrature(mu: SpectralDensity, ell: float, lag: np.ndarray) -> float:
     """Real part of the spectral-form covariance at the given lag."""
-    return spectral_characteristic(spec, lag).real
+    return spectral_characteristic(mu, ell, lag).real
 
 
-def kernel_eval(spec: KernelSpec, s, t) -> float:
-    """Covariance between field values at points ``s`` and ``t``."""
+def kernel_eval(ell: float, s, t) -> float:
+    """Covariance between field values at points ``s`` and ``t``, pair by pair.
+
+    The reference that ``cov_matrix`` is tested against.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if s.shape != t.shape:
         raise ValueError("s and t must have the same dimension")
-    if spec.family == SQUARED_EXPONENTIAL:
-        h2 = float(np.sum((t - s) ** 2))
-        return math.exp(-spec.ell**2 * h2)
-    if s.shape != (spec.spectral_density.dim,):
-        raise ValueError(f"points must have dimension {spec.spectral_density.dim}")
-    return spectral_covariance_quadrature(spec, t - s)
+    h2 = float(np.sum((t - s) ** 2))
+    return math.exp(-ell**2 * h2)
 
 
-def cov_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix on point pairs.
-
-    The spectral path evaluates the radial covariance once per unique distance
-    (regular grids have few), then fills the matrix.
-    """
+def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
+    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs."""
     points = np.asarray(points, dtype=np.float64)
-    if spec.family == SQUARED_EXPONENTIAL:
-        return sq_exp_cov(points, spec.ell)
     sq = np.sum(points * points, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
-    r = np.sqrt(d2)
-    uniq, inverse = np.unique(np.round(r, 12), return_inverse=True)
-    dim = spec.spectral_density.dim
-    vals = np.empty(uniq.shape[0])
-    for i, ri in enumerate(uniq):
-        lag = np.zeros(dim)
-        lag[0] = ri
-        vals[i] = spectral_covariance_quadrature(spec, lag)
-    return vals[inverse].reshape(r.shape)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-(ell * ell) * d2)
 
 
 def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -240,16 +188,19 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def sample_gp(spec: KernelSpec, grid: Grid, rng: np.random.Generator) -> GPSample:
-    """Exact zero-mean GP draw on the grid via dense Cholesky factorization."""
+def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-mean GP draw on the grid via dense Cholesky factorization.
+
+    Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
+    the field ``g = L(ell) @ white`` at the grid nodes.
+    """
     if grid.n_nodes > MAX_DENSE_NODES:
         raise ValueError(
             f"grid has {grid.n_nodes} nodes; dense factorization is guarded at {MAX_DENSE_NODES}"
         )
-    K = cov_matrix(spec, grid.nodes())
-    L, _ = chol_with_jitter(K)
-    z = rng.standard_normal(grid.n_nodes)
-    return GPSample(grid, L @ z)
+    L, _ = chol_with_jitter(cov_matrix(ell, grid.nodes()))
+    white = rng.standard_normal(grid.n_nodes)
+    return white, L @ white
 
 
 @dataclass(frozen=True)
@@ -262,20 +213,16 @@ class MomentCheck:
     shells: int
 
 
-def check_exponential_moment(
-    spec: KernelSpec, total_cap: float = 1e12, max_radius: float = 64.0
-) -> MomentCheck:
-    """Numerically evaluate ``integral exp(delta ||xi||) mu(d xi)``.
+def check_exponential_moment(mu: SpectralDensity, delta: float) -> MomentCheck:
+    """Numerically evaluate ``integral exp(delta ||xi||) mu(d xi)`` for a tilt ``delta > 0``.
 
     Integrates outward over doubling radial shells; reports divergence when
-    shell contributions stop decaying or the running total passes ``total_cap``
-    (a polynomial tail tilted by any exponential blows through the cap long
-    before floating-point overflow).
+    shell contributions stop decaying or the running total passes
+    ``MOMENT_TOTAL_CAP`` (a polynomial tail tilted by any exponential blows
+    through the cap long before floating-point overflow).
     """
-    mu = spec.spectral_density
-    if mu is None:
-        raise ValueError("exponential-moment check requires a spectral density")
-    delta = spec.delta
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     area = _sphere_area(mu.dim)
 
     def shell(lo: float, hi: float) -> float:
@@ -291,11 +238,11 @@ def check_exponential_moment(
     prev = total
     lo, hi = 1.0, 2.0
     n_shells = 1
-    while hi <= max_radius:
+    while hi <= MOMENT_MAX_RADIUS:
         contrib = shell(lo, hi)
         total += contrib
         n_shells += 1
-        if total > total_cap:
+        if total > MOMENT_TOTAL_CAP:
             return MomentCheck(False, float("inf"), delta, n_shells)
         if contrib < 1e-12 * max(total, 1.0):
             return MomentCheck(True, total, delta, n_shells)

@@ -24,7 +24,7 @@ from scipy import special as _sci_special
 from scipy import stats as _sci_stats
 
 from ._accel import sigmoid
-from .kernels import SQUARED_EXPONENTIAL, KernelSpec, chol_with_jitter, cov_matrix
+from .kernels import sample_gp
 from .point_process import Grid, IntensityField
 
 LOGISTIC_SQRT_LIPSCHITZ = 1.0 / (3.0 * math.sqrt(3.0))
@@ -263,13 +263,12 @@ def validate_max_intensity_tail(
 
 @dataclass(frozen=True)
 class SgcpPrior:
-    """Full prior bundle: link, hyperpriors, and the kernel family template."""
+    """Full prior bundle: link and hyperpriors of the squared-exponential field."""
 
     dim: int
     link: LinkFunction = LOGISTIC
     ell_prior: LengthScalePriorSpec | None = None
     lam_prior: MaxIntensityPriorSpec | None = None
-    kernel_family: str = SQUARED_EXPONENTIAL
 
     def __post_init__(self):
         if self.ell_prior is None:
@@ -278,9 +277,6 @@ class SgcpPrior:
             object.__setattr__(self, "lam_prior", MaxIntensityPriorSpec())
         if self.ell_prior.dim != self.dim:
             raise ValueError("length-scale prior dimension does not match")
-
-    def kernel(self, ell: float) -> KernelSpec:
-        return KernelSpec(family=self.kernel_family, ell=ell)
 
 
 def sample_prior_intensity(
@@ -296,10 +292,7 @@ def sample_prior_intensity(
         raise ValueError("grid dimension does not match the prior")
     ell = float(prior.ell_prior.sample(rng))
     lam_star = float(prior.lam_prior.sample(rng))
-    K = cov_matrix(prior.kernel(ell), grid.nodes())
-    L, _ = chol_with_jitter(K)
-    white = rng.standard_normal(grid.n_nodes)
-    g = L @ white
+    white, g = sample_gp(ell, grid, rng)
     field = IntensityField(grid, lam_star * prior.link(g))
     return field, {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
 

@@ -25,7 +25,7 @@ from scipy import stats
 
 import sgcp
 from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
-                  KernelSpec, LengthScalePriorSpec, MaxIntensityPriorSpec,
+                  LengthScalePriorSpec, MaxIntensityPriorSpec,
                   ModelState, PointPattern, SgcpPrior, SpectralDensity,
                   estimate_sqrt_link_lipschitz, geweke_joint_test, get_truth,
                   prior_small_ball_probability, rng_for, run_chain,
@@ -33,8 +33,7 @@ from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
                   sqrt_l2_distance, validate_length_scale_tail,
                   validate_max_intensity_tail)
 from sgcp.cli import main
-from sgcp.kernels import SPECTRAL, chol_with_jitter, cov_matrix, \
-    spectral_covariance_quadrature
+from sgcp.kernels import chol_with_jitter, cov_matrix, spectral_covariance_quadrature
 from sgcp.priors import default_length_scale_bounds
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
@@ -65,12 +64,11 @@ def test_01_kernel_correspondence(report):
     worst = 0.0
     for dim in (1, 2):
         lags = rng_for(101, dim).uniform(-1.2, 1.2, size=(20, dim))
+        mu = SpectralDensity("gaussian", dim)
         for ell in (0.5, 1.0, 2.7):
-            spec = KernelSpec(family=SPECTRAL, ell=ell,
-                              spectral_density=SpectralDensity("gaussian", dim))
             for h in lags:
                 closed = math.exp(-(ell ** 2) * float(h @ h))
-                quad = spectral_covariance_quadrature(spec, h)
+                quad = spectral_covariance_quadrature(mu, ell, h)
                 worst = max(worst, abs(quad - closed))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
@@ -133,7 +131,7 @@ def test_03_mcmc_correctness(report):
     pts = np.array([[0.12], [0.47], [0.83]])
     pattern = PointPattern(1, pts)
     lam_star, ell = 8.0, 1.0
-    L, _ = chol_with_jitter(cov_matrix(KernelSpec(ell=ell), grid.nodes()))
+    L, _ = chol_with_jitter(cov_matrix(ell, grid.nodes()))
     u, w = np.polynomial.hermite.hermgauss(40)
     U = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
     W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
@@ -180,9 +178,9 @@ def test_04_distance_correctness(report):
     worst = 0.0
     for k in range(10):
         grid = Grid(1, 33) if k < 5 else Grid(2, 9)
-        spec = KernelSpec(ell=1.0 + 0.3 * k)
-        a = IntensityField(grid, np.exp(sample_gp(spec, grid, rng).values))
-        b = IntensityField(grid, np.exp(sample_gp(spec, grid, rng).values))
+        ell = 1.0 + 0.3 * k
+        a = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
+        b = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
         d = sqrt_l2_distance(a, b)
         diff = IntensityField(grid, (np.sqrt(a.values) - np.sqrt(b.values)) ** 2)
         pts = rng.random((400000, grid.dim))

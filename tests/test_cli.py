@@ -184,7 +184,11 @@ class TestConfigHandling:
     ["calibrate", "--rounds", "0"],
     ["calibrate", "--sweeps", "0"],
     ["bench", "--synthetic", "--band", "-1"],
-], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band"])
+    ["calibrate", "--rounds", "10"],
+    ["calibrate", "--z-threshold", "-1"],
+    ["verify-priors", "--delta", "-1"],
+], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band",
+        "calibrate-few-rounds", "calibrate-z-threshold", "verify-priors-delta"])
 def test_bad_subcommand_argument_is_config_error(tmp_path, argv):
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2

@@ -142,6 +142,11 @@ class TestRunChain:
         with pytest.raises(ValueError, match="probit"):
             run_chain([], prior, cfg, rng_for(5))
 
+    def test_dense_size_guard(self):
+        # 70 x 70 = 4900 nodes: the sampler refuses the grid before filling a covariance
+        with pytest.raises(ValueError, match="4900 nodes"):
+            _Sampler(SgcpPrior(dim=2), Grid(2, 70), ChainConfig(resolution=70))
+
     def test_fixed_hyperparameters_stay_fixed(self):
         prior = SgcpPrior(dim=1)
         cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8,

@@ -7,83 +7,64 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from sgcp import (FactorizationError, Grid, KernelSpec, QuadratureError, SPECTRAL,
-                  SpectralDensity, check_exponential_moment, chol_with_jitter,
-                  cov_matrix, kernel_eval, rng_for, sample_gp,
-                  spectral_characteristic, spectral_covariance_quadrature)
+from sgcp import (FactorizationError, Grid, QuadratureError, SpectralDensity,
+                  check_exponential_moment, chol_with_jitter, cov_matrix, kernel_eval,
+                  rng_for, sample_gp, spectral_characteristic,
+                  spectral_covariance_quadrature)
 
 
 class TestClosedForm:
     def test_values(self):
-        spec = KernelSpec(ell=2.0)
         # exp(-ell^2 h^2) computed by hand
-        assert kernel_eval(spec, [0.0], [0.0]) == pytest.approx(1.0)
-        assert kernel_eval(spec, [0.0], [0.5]) == pytest.approx(math.exp(-1.0))
-        assert kernel_eval(spec, [0.1, 0.2], [0.4, 0.6]) == pytest.approx(
+        assert kernel_eval(2.0, [0.0], [0.0]) == pytest.approx(1.0)
+        assert kernel_eval(2.0, [0.0], [0.5]) == pytest.approx(math.exp(-1.0))
+        assert kernel_eval(2.0, [0.1, 0.2], [0.4, 0.6]) == pytest.approx(
             math.exp(-4.0 * 0.25))
 
     def test_symmetry_and_stationarity(self):
-        spec = KernelSpec(ell=1.3)
         s, t = np.array([0.2, 0.7]), np.array([0.9, 0.1])
-        assert kernel_eval(spec, s, t) == kernel_eval(spec, t, s)
+        assert kernel_eval(1.3, s, t) == kernel_eval(1.3, t, s)
         shift = np.array([0.05, -0.05])
-        assert kernel_eval(spec, s + shift, t + shift) == pytest.approx(
-            kernel_eval(spec, s, t), rel=1e-12)
+        assert kernel_eval(1.3, s + shift, t + shift) == pytest.approx(
+            kernel_eval(1.3, s, t), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec(), [0.1], [0.1, 0.2])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelSpec(ell=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(family="matern")
-        with pytest.raises(ValueError):
-            KernelSpec(family=SPECTRAL)  # needs a density
-        with pytest.raises(ValueError):
-            KernelSpec(delta=-1.0)
+            kernel_eval(1.0, [0.1], [0.1, 0.2])
 
 
 class TestSpectralQuadrature:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.7])
     def test_gaussian_density_reproduces_closed_form(self, dim, ell):
-        spec = KernelSpec(family=SPECTRAL, ell=ell,
-                          spectral_density=SpectralDensity("gaussian", dim))
-        closed = KernelSpec(ell=ell)
+        mu = SpectralDensity("gaussian", dim)
         rng = rng_for(17, dim)
         for _ in range(20):
             lag = rng.uniform(-1.0, 1.0, size=dim)
-            a = spectral_covariance_quadrature(spec, lag)
-            b = kernel_eval(closed, np.zeros(dim), lag)
+            a = spectral_covariance_quadrature(mu, ell, lag)
+            b = kernel_eval(ell, np.zeros(dim), lag)
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_symmetric_density_gives_real_transform(self):
-        spec = KernelSpec(family=SPECTRAL, ell=1.4,
-                          spectral_density=SpectralDensity("gaussian", 2))
-        z = spectral_characteristic(spec, np.array([0.3, -0.6]))
+        z = spectral_characteristic(SpectralDensity("gaussian", 2), 1.4, np.array([0.3, -0.6]))
         assert abs(z.imag) < 1e-10
 
     def test_cauchy_1d_matches_exponential_covariance(self):
         # the heavy-tailed density (1/pi)/(1+xi^2) transforms to exp(-|h|)
-        spec = KernelSpec(family=SPECTRAL, ell=2.0,
-                          spectral_density=SpectralDensity("cauchy", 1))
+        mu = SpectralDensity("cauchy", 1)
         for h in (0.1, 0.25, 1.0):
-            got = spectral_covariance_quadrature(spec, np.array([h]))
+            got = spectral_covariance_quadrature(mu, 2.0, np.array([h]))
             assert got == pytest.approx(math.exp(-2.0 * h), abs=1e-8)
 
     def test_generic_quadrature_limited_to_1d(self):
-        spec = KernelSpec(family=SPECTRAL, ell=1.0,
-                          spectral_density=SpectralDensity("cauchy", 2))
         with pytest.raises(QuadratureError):
-            spectral_covariance_quadrature(spec, np.array([0.3, 0.1]))
+            spectral_covariance_quadrature(SpectralDensity("cauchy", 2), 1.0,
+                                           np.array([0.3, 0.1]))
 
     def test_lag_shape_checked(self):
-        spec = KernelSpec(family=SPECTRAL, ell=1.0,
-                          spectral_density=SpectralDensity("gaussian", 2))
         with pytest.raises(ValueError):
-            spectral_covariance_quadrature(spec, np.array([0.3]))
+            spectral_covariance_quadrature(SpectralDensity("gaussian", 2), 1.0,
+                                           np.array([0.3]))
 
 
 class TestSpectralDensity:
@@ -109,18 +90,14 @@ class TestExponentialMoment:
     def test_gaussian_1d_closed_form(self):
         # int exp(delta |xi|) N(0, sigma^2) dxi = 2 exp(d^2 s^2/2) Phi(d s)
         for sigma in (1.0, math.sqrt(2.0)):
-            spec = KernelSpec(family=SPECTRAL, ell=1.0, delta=1.0,
-                              spectral_density=SpectralDensity("gaussian", 1, sigma=sigma))
-            res = check_exponential_moment(spec)
+            res = check_exponential_moment(SpectralDensity("gaussian", 1, sigma=sigma), 1.0)
             want = math.exp(0.5 * sigma**2) * (1.0 + erf(sigma / math.sqrt(2.0)))
             assert res.converged
             assert res.value == pytest.approx(want, rel=1e-9)
 
     def test_gaussian_2d_against_direct_quadrature(self):
-        spec = KernelSpec(family=SPECTRAL, ell=1.0, delta=0.7,
-                          spectral_density=SpectralDensity("gaussian", 2))
-        res = check_exponential_moment(spec)
-        mu = spec.spectral_density
+        mu = SpectralDensity("gaussian", 2)
+        res = check_exponential_moment(mu, 0.7)
         # finite upper limit: at r=60 the integrand is ~exp(-858), and the
         # unbounded range makes quadpack probe radii where exp overflows
         want, _ = integrate.quad(
@@ -131,45 +108,36 @@ class TestExponentialMoment:
 
     @pytest.mark.parametrize("delta", [0.25, 1.0])
     def test_heavy_tail_diverges(self, delta):
-        spec = KernelSpec(family=SPECTRAL, ell=1.0, delta=delta,
-                          spectral_density=SpectralDensity("cauchy", 1))
-        res = check_exponential_moment(spec)
+        res = check_exponential_moment(SpectralDensity("cauchy", 1), delta)
         assert not res.converged
         assert math.isinf(res.value)
 
     def test_heavy_tail_diverges_2d(self):
-        spec = KernelSpec(family=SPECTRAL, ell=1.0, delta=1.0,
-                          spectral_density=SpectralDensity("cauchy", 2))
-        assert not check_exponential_moment(spec).converged
+        assert not check_exponential_moment(SpectralDensity("cauchy", 2), 1.0).converged
+
+    def test_tilt_must_be_positive(self):
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                check_exponential_moment(SpectralDensity("gaussian", 1), delta)
 
 
 class TestCovMatrix:
     def test_matches_pairwise_eval(self):
         pts = rng_for(11).random((12, 2))
-        spec = KernelSpec(ell=1.9)
-        K = cov_matrix(spec, pts)
+        K = cov_matrix(1.9, pts)
         for i in range(12):
             for j in range(12):
                 assert K[i, j] == pytest.approx(
-                    kernel_eval(spec, pts[i], pts[j]), rel=1e-10, abs=1e-12)
-
-    def test_spectral_path_agrees_with_closed_form(self):
-        grid = Grid(1, 9)
-        se = cov_matrix(KernelSpec(ell=1.2), grid.nodes())
-        sp = cov_matrix(
-            KernelSpec(family=SPECTRAL, ell=1.2,
-                       spectral_density=SpectralDensity("gaussian", 1)),
-            grid.nodes())
-        np.testing.assert_allclose(sp, se, atol=1e-9)
+                    kernel_eval(1.9, pts[i], pts[j]), rel=1e-10, abs=1e-12)
 
     def test_unit_diagonal(self):
-        K = cov_matrix(KernelSpec(ell=0.7), rng_for(12).random((8, 3)))
+        K = cov_matrix(0.7, rng_for(12).random((8, 3)))
         np.testing.assert_allclose(np.diag(K), 1.0)
 
 
 class TestFactorizationAndSampling:
     def test_chol_reconstructs(self):
-        K = cov_matrix(KernelSpec(ell=1.0), Grid(1, 16).nodes())
+        K = cov_matrix(1.0, Grid(1, 16).nodes())
         L, jitter = chol_with_jitter(K)
         assert jitter <= 1e-6
         np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(16), atol=1e-8)
@@ -186,21 +154,21 @@ class TestFactorizationAndSampling:
 
     def test_sample_gp_moments(self):
         grid = Grid(1, 8)
-        spec = KernelSpec(ell=1.0)
         rng = rng_for(21)
-        draws = np.stack([sample_gp(spec, grid, rng).values for _ in range(3000)])
+        draws = np.stack([sample_gp(1.0, grid, rng)[1] for _ in range(3000)])
         np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.08)
         np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.1)
         # neighbor correlation matches the kernel
-        want = kernel_eval(spec, grid.nodes()[0], grid.nodes()[1])
+        want = kernel_eval(1.0, grid.nodes()[0], grid.nodes()[1])
         got = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert got == pytest.approx(want, abs=0.05)
 
     def test_sample_gp_node_guard(self):
         with pytest.raises(ValueError):
-            sample_gp(KernelSpec(), Grid(2, 70), rng_for(0))
+            sample_gp(1.0, Grid(2, 70), rng_for(0))
 
     def test_sample_gp_deterministic(self):
-        a = sample_gp(KernelSpec(), Grid(1, 9), rng_for(33)).values
-        b = sample_gp(KernelSpec(), Grid(1, 9), rng_for(33)).values
+        white_a, a = sample_gp(1.0, Grid(1, 9), rng_for(33))
+        white_b, b = sample_gp(1.0, Grid(1, 9), rng_for(33))
+        np.testing.assert_array_equal(white_a, white_b)
         np.testing.assert_array_equal(a, b)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgcp import (Grid, IntensityField, KernelSpec, credible_radius,
+from sgcp import (Grid, IntensityField, credible_radius,
                   distances_to_truth, hellinger_surrogate, rng_for, sample_gp,
                   sqrt_l2_distance)
 
@@ -39,9 +39,9 @@ class TestSqrtL2Distance:
         rng = rng_for(31)
         for k in range(10):
             grid = Grid(1, 33) if k < 5 else Grid(2, 9)
-            spec = KernelSpec(ell=1.0 + 0.3 * k)
-            a = IntensityField(grid, np.exp(sample_gp(spec, grid, rng).values))
-            b = IntensityField(grid, np.exp(sample_gp(spec, grid, rng).values))
+            ell = 1.0 + 0.3 * k
+            a = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
+            b = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
             d = sqrt_l2_distance(a, b)
             diff = IntensityField(grid, (np.sqrt(a.values) - np.sqrt(b.values)) ** 2)
             pts = rng.random((400000, grid.dim))
