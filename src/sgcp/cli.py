@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int, default=5, help="sampler sweeps per round")
     p.add_argument("--z-threshold", type=float, default=4.0, help="|z| failure threshold")
     p.add_argument("--mutate", action="store_true",
-                   help="deliberately corrupt the likelihood (power check; expected FAIL)")
+                   help="deliberately corrupt the likelihood (power check; fails reliably "
+                        "only from about --rounds 3000, smaller runs can pass)")
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("verify-priors", help="analytic envelope and moment checks")

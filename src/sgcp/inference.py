@@ -2,7 +2,8 @@
 
 The chain runs in whitened coordinates: the state is ``(white, log ell,
 log lam*)`` with the latent field recovered as ``g = L(ell) @ white`` where
-``L`` is the Cholesky factor of the kernel matrix on the grid. Moves:
+``L = L1 ⊗ ... ⊗ L1`` and ``L1`` is the Cholesky factor of the kernel matrix
+on one axis of the grid (``kernels.apply_factor``). Moves:
 
 * elliptical slice update of ``white`` (exact prior rotation, likelihood-only
   threshold, bracket shrinking);
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
-from .kernels import MAX_DENSE_NODES, chol_with_jitter, cov_matrix
+from .kernels import MAX_DENSE_NODES, apply_factor, chol_with_jitter, cov_matrix
 from .point_process import Grid, IntensityField, PointPattern, integrate_field, simulate_thinning
 from .priors import LOGISTIC, SgcpPrior, sample_prior_intensity
 
@@ -37,7 +38,8 @@ TWO_PI = 2.0 * math.pi
 
 # bracket shrinks an elliptical slice move may take before it gives up
 MAX_SHRINK = 200
-# sweeps between scratch recomputations of the cached log likelihood
+# sweeps between scratch recomputations of the cached log likelihood; a
+# chain also recomputes after its last sweep, so short chains are checked too
 CHECK_EVERY = 1000
 # the chained side's standard errors in the joint calibration test come
 # from this many batch means, and each batch needs at least two rounds
@@ -146,12 +148,14 @@ def effective_sample_size(x: np.ndarray) -> float:
 class _Sampler:
     """One-state transition kernel over (white, log ell, log lam*).
 
-    Caches the Cholesky factor for the current length scale, the
-    interpolation stencil of the data points and the two likelihood
-    statistics. Only the logistic link is implemented; a prior with another
-    link is refused, and so is a grid with more than ``MAX_DENSE_NODES``
-    nodes, whose dense covariance would be filled and factored on every
-    length-scale proposal. ``mutate_drop_integral`` deliberately corrupts the
+    Caches the one-axis Cholesky factor ``L1`` for the current length scale
+    (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
+    fills and factors an r×r matrix for r nodes per axis), the interpolation
+    stencil of the data points and the two likelihood statistics. Only the
+    logistic link is implemented; a prior with another link is refused, and
+    so is a grid with more than ``MAX_DENSE_NODES`` nodes, a size no test or
+    benchmark exercises.
+    ``mutate_drop_integral`` deliberately corrupts the
     likelihood (for calibration-test power checks) by dropping the integral
     term.
     """
@@ -164,13 +168,13 @@ class _Sampler:
             raise ValueError(f"the sampler implements only the logistic link, "
                              f"not {prior.link.name!r}")
         if grid.n_nodes > MAX_DENSE_NODES:
-            raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler's dense "
-                             f"factorization is guarded at {MAX_DENSE_NODES}")
+            raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler is "
+                             f"guarded at {MAX_DENSE_NODES}")
         self.prior = prior
         self.grid = grid
         self.config = config
         self.mutate = mutate_drop_integral
-        self.nodes = grid.nodes()
+        self.axis_nodes = Grid(1, grid.resolution).nodes()
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = config.step_log_ell
         self.step_log_lambda = config.step_log_lambda
@@ -206,11 +210,11 @@ class _Sampler:
     def set_state(self, state: ModelState) -> None:
         self.state = state
         self._L = self._factor(math.exp(state.log_ell))
-        self._g = self._L @ state.white
+        self._g = apply_factor(self._L, state.white, self.grid.dim)
         self._refresh_likelihood()
 
     def _factor(self, ell: float) -> np.ndarray:
-        K = cov_matrix(ell, self.nodes)
+        K = cov_matrix(ell, self.axis_nodes)
         L, _ = chol_with_jitter(K)
         return L
 
@@ -254,8 +258,7 @@ class _Sampler:
     def scratch_check(self, rtol: float = 1e-8) -> None:
         """Recompute the cached pieces from the bare state and compare."""
         st = self.state
-        L = self._factor(math.exp(st.log_ell))
-        g = L @ st.white
+        g = apply_factor(self._factor(math.exp(st.log_ell)), st.white, self.grid.dim)
         suff = self._suffstats(g)
         ll = self._loglik_from(suff, st.log_lambda_star)
         scale = 1.0 + abs(ll)
@@ -274,7 +277,7 @@ class _Sampler:
         lo, hi = theta - TWO_PI, theta
         for _ in range(MAX_SHRINK):
             white_prop = st.white * math.cos(theta) + nu * math.sin(theta)
-            g_prop = self._L @ white_prop
+            g_prop = apply_factor(self._L, white_prop, self.grid.dim)
             suff_prop = self._suffstats(g_prop)
             ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
             if ll_prop > log_u:
@@ -298,7 +301,7 @@ class _Sampler:
         ell_prop = math.exp(log_ell_prop)
         ell_cur = math.exp(st.log_ell)
         L_prop = self._factor(ell_prop)
-        g_prop = L_prop @ st.white
+        g_prop = apply_factor(L_prop, st.white, self.grid.dim)
         suff_prop = self._suffstats(g_prop)
         ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
         log_alpha = (
@@ -409,7 +412,7 @@ def run_chain(
             sampler.adapt_steps(k)
         if k == config.n_burn - 1:
             sampler.reset_accept_counts()
-        if (k + 1) % CHECK_EVERY == 0:
+        if (k + 1) % CHECK_EVERY == 0 or k + 1 == config.n_iter:
             sampler.scratch_check()
         if k >= config.n_burn and (k - config.n_burn) % config.thin == 0:
             st = sampler.state

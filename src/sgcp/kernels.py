@@ -2,8 +2,16 @@
 
 The latent field's covariance is the rescaled squared exponential
 ``k(s,t) = exp(-ell^2 ||t-s||^2)``; it is the only covariance the program
-builds. Its spectral form, the Fourier transform of an isotropic spectral
-density ``mu``::
+builds. It is a product over the axes, so on the tensor grid ``[0,1]^d`` with
+``r`` nodes per axis the covariance is ``K = K1 ⊗ ... ⊗ K1``, ``K1`` being the
+r×r covariance of one axis, and ``L = L1 ⊗ ... ⊗ L1`` with ``L1`` the
+Cholesky factor of ``K1 + jitter I`` is a square root of
+``(K1 + jitter I) ⊗ ... ⊗ (K1 + jitter I)`` (Saatçi 2012). Field values are
+made from white noise by ``apply_factor``, d products with ``L1``, so no
+r^d × r^d matrix is ever filled or factored.
+
+Its spectral form, the Fourier transform of an isotropic spectral density
+``mu``::
 
     k(s,t) = Re  integral  exp(-i <xi, ell (t-s)>) mu(xi) dxi
 
@@ -188,19 +196,37 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def apply_factor(L1: np.ndarray, white: np.ndarray, dim: int) -> np.ndarray:
+    """``(L1 ⊗ ... ⊗ L1) @ white`` with ``dim`` factors, by mode products.
+
+    ``white`` holds one value per node of the tensor grid, in the C order of
+    ``Grid.nodes``. Each pass multiplies the leading axis by ``L1`` and moves
+    it to the back, so after ``dim`` passes every axis is transformed and
+    back in place. At ``dim == 1`` this is ``L1 @ white``.
+    """
+    if dim == 1:
+        return L1 @ white
+    r = L1.shape[0]
+    x = white
+    for _ in range(dim):
+        x = (L1 @ x.reshape(r, -1)).T
+    return x.ravel()
+
+
 def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-mean GP draw on the grid via dense Cholesky factorization.
+    """Exact zero-mean GP draw on the grid through the Kronecker factor.
 
     Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
-    the field ``g = L(ell) @ white`` at the grid nodes.
+    the field ``g = (L1 ⊗ ... ⊗ L1) @ white`` at the grid nodes, ``L1`` the
+    Cholesky factor of the covariance on one axis.
     """
     if grid.n_nodes > MAX_DENSE_NODES:
         raise ValueError(
-            f"grid has {grid.n_nodes} nodes; dense factorization is guarded at {MAX_DENSE_NODES}"
+            f"grid has {grid.n_nodes} nodes; GP draws are guarded at {MAX_DENSE_NODES}"
         )
-    L, _ = chol_with_jitter(cov_matrix(ell, grid.nodes()))
+    L1, _ = chol_with_jitter(cov_matrix(ell, Grid(1, grid.resolution).nodes()))
     white = rng.standard_normal(grid.n_nodes)
-    return white, L @ white
+    return white, apply_factor(L1, white, grid.dim)
 
 
 @dataclass(frozen=True)

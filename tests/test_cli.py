@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import math
 import subprocess
 
 import pytest
@@ -77,6 +78,23 @@ class TestFit:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         field = read_field_csv(out1 / "posterior_mean.csv")
         assert field.grid.resolution == 16
+
+    def test_fit_2d_and_repeat(self, tmp_path):
+        data = tmp_path / "sim2d"
+        assert main(["simulate", "--out", str(data), "--n", "10", "--truth", "sin2d",
+                     "--resolution", "8", "--seed", "13"]) == 0
+        args = ["fit", "--data", str(data), "--seed", "13", "--n-iter", "300",
+                "--n-burn", "100", "--resolution", "8"]
+        out1, out2 = tmp_path / "f1", tmp_path / "f2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        summary = json.loads((out1 / "fit.json").read_text())
+        assert summary["n_patterns"] == 10
+        assert math.isfinite(summary["distance_mean_to_truth"])
+        assert read_field_csv(out1 / "posterior_mean.csv").grid.dim == 2
+        for name in ["fit.json", "posterior_mean.csv", "chain.jsonl",
+                     "intensity_draws.csv"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_chain_files_content(self, sim_dir, tmp_path):
         out = tmp_path / "f"

@@ -10,7 +10,7 @@ from sgcp import (PROBIT, ChainConfig, Grid, IntensityField, ModelState, Numeric
                   PointPattern, SgcpPrior, effective_sample_size, geweke_joint_test,
                   initial_state, log_likelihood, rng_for, run_chain)
 from sgcp._accel import sigmoid
-from sgcp.inference import _Sampler
+from sgcp.inference import _Sampler, cov_matrix
 
 
 class TestChainConfig:
@@ -147,6 +147,39 @@ class TestRunChain:
         with pytest.raises(ValueError, match="4900 nodes"):
             _Sampler(SgcpPrior(dim=2), Grid(2, 70), ChainConfig(resolution=70))
 
+    def test_short_chain_is_scratch_checked(self, monkeypatch):
+        calls = []
+        check = _Sampler.scratch_check
+
+        def spy(self, *args, **kwargs):
+            calls.append(None)
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Sampler, "scratch_check", spy)
+        cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8)
+        run_chain([], SgcpPrior(dim=1), cfg, rng_for(9))
+        assert len(calls) == 1
+
+    def test_2d_chain_factors_one_axis(self, monkeypatch):
+        # the perfbench tracer wraps cov_matrix where sgcp.inference looks it
+        # up; a 2-D chain must fill only r x 1 axis nodes there, never r^2 rows
+        shapes = []
+
+        def spy(ell, points):
+            shapes.append(np.shape(points))
+            return cov_matrix(ell, points)
+
+        monkeypatch.setattr("sgcp.inference.cov_matrix", spy)
+        truth = IntensityField(Grid(2, 6), np.full(36, 3.0))
+        from sgcp import simulate_thinning
+        rng = rng_for(10, 0)
+        pats = [simulate_thinning(3.0, truth, rng) for _ in range(5)]
+        cfg = ChainConfig(n_iter=60, n_burn=20, resolution=6)
+        chain = run_chain(pats, SgcpPrior(dim=2), cfg, rng_for(10, 1))
+        assert chain.latent.shape[1] == 36
+        assert len(shapes) > 1
+        assert set(shapes) == {(6, 1)}
+
     def test_fixed_hyperparameters_stay_fixed(self):
         prior = SgcpPrior(dim=1)
         cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8,
@@ -203,6 +236,12 @@ class TestGeweke:
                                 n_rounds=4000, sweeps_per_round=4)
         assert not res.diverged
         assert res.max_abs_z < 5.0
+
+    def test_clean_sampler_calibrates_2d(self):
+        res = geweke_joint_test(SgcpPrior(dim=2), Grid(2, 4), rng_for(56, 7),
+                                n_rounds=10000, sweeps_per_round=5)
+        assert not res.diverged
+        assert res.max_abs_z < 4.0
 
     def test_corrupted_likelihood_detected(self):
         res = geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(55, 7),

@@ -11,6 +11,7 @@ from sgcp import (FactorizationError, Grid, QuadratureError, SpectralDensity,
                   check_exponential_moment, chol_with_jitter, cov_matrix, kernel_eval,
                   rng_for, sample_gp, spectral_characteristic,
                   spectral_covariance_quadrature)
+from sgcp.kernels import apply_factor
 
 
 class TestClosedForm:
@@ -172,3 +173,45 @@ class TestFactorizationAndSampling:
         white_b, b = sample_gp(1.0, Grid(1, 9), rng_for(33))
         np.testing.assert_array_equal(white_a, white_b)
         np.testing.assert_array_equal(a, b)
+
+
+def _axis_factor(ell, r):
+    L1, _ = chol_with_jitter(cov_matrix(ell, Grid(1, r).nodes()))
+    return L1
+
+
+class TestKroneckerFactor:
+    def test_matches_explicit_kronecker(self):
+        L1 = _axis_factor(1.3, 5)
+        rng = rng_for(41)
+        w2 = rng.standard_normal(25)
+        np.testing.assert_allclose(apply_factor(L1, w2, 2), np.kron(L1, L1) @ w2,
+                                   rtol=0.0, atol=1e-12)
+        w3 = rng.standard_normal(125)
+        np.testing.assert_allclose(apply_factor(L1, w3, 3),
+                                   np.kron(L1, np.kron(L1, L1)) @ w3, rtol=0.0, atol=1e-12)
+
+    def test_one_axis_is_plain_matvec(self):
+        L1 = _axis_factor(0.8, 16)
+        w = rng_for(42).standard_normal(16)
+        np.testing.assert_array_equal(apply_factor(L1, w, 1), L1 @ w)
+
+    def test_reconstructs_grid_covariance(self):
+        for ell in (0.5, 1.0, 2.5):
+            L1 = _axis_factor(ell, 6)
+            L = np.kron(L1, L1)
+            np.testing.assert_allclose(L @ L.T, cov_matrix(ell, Grid(2, 6).nodes()),
+                                       rtol=0.0, atol=1e-8)
+
+    def test_sample_gp_moments_2d(self):
+        grid = Grid(2, 5)
+        rng = rng_for(22)
+        draws = np.stack([sample_gp(1.0, grid, rng)[1] for _ in range(3000)])
+        np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.08)
+        np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.1)
+        # neighbours along the last axis (node 1) and the first axis (node 5)
+        nodes = grid.nodes()
+        for j in (1, 5):
+            want = kernel_eval(1.0, nodes[0], nodes[j])
+            got = np.corrcoef(draws[:, 0], draws[:, j])[0, 1]
+            assert got == pytest.approx(want, abs=0.05)
