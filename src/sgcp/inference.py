@@ -223,7 +223,7 @@ class _Sampler:
 
     def _loglik_from(self, suff: tuple[float, float], log_lambda_star: float) -> float:
         sum_log_s, int_s = suff
-        if not np.isfinite(sum_log_s):
+        if not math.isfinite(sum_log_s):
             return -math.inf
         lam_star = math.exp(log_lambda_star)
         val = self.n_points * log_lambda_star + sum_log_s
@@ -251,8 +251,8 @@ class _Sampler:
         ell = math.exp(st.log_ell)
         lam = math.exp(st.log_lambda_star)
         val = -0.5 * float(st.white @ st.white)
-        val += float(self.prior.ell_prior.log_density(ell)) + st.log_ell
-        val += float(self.prior.lam_prior.log_density(lam)) + st.log_lambda_star
+        val += self.prior.ell_prior.log_density(ell) + st.log_ell
+        val += self.prior.lam_prior.log_density(lam) + st.log_lambda_star
         return val + self._loglik
 
     def scratch_check(self, rtol: float = 1e-8) -> None:
@@ -269,19 +269,25 @@ class _Sampler:
     # -- moves ----------------------------------------------------------
 
     def update_latent(self, rng: np.random.Generator) -> None:
-        """Elliptical slice move on the whitened latent coordinates."""
+        """Elliptical slice move on the whitened latent coordinates.
+
+        The factor is linear, so the proposed field ``L @ (white cos + nu sin)``
+        is formed as ``g cos + (L @ nu) sin``: one factor product per move,
+        none per bracket shrink.
+        """
         st = self.state
         nu = rng.standard_normal(st.white.shape[0])
+        g, g_nu = self._g, apply_factor(self._L, nu, self.grid.dim)
         log_u = self._loglik + math.log(rng.random())
         theta = rng.random() * TWO_PI
         lo, hi = theta - TWO_PI, theta
         for _ in range(MAX_SHRINK):
-            white_prop = st.white * math.cos(theta) + nu * math.sin(theta)
-            g_prop = apply_factor(self._L, white_prop, self.grid.dim)
+            c, s = math.cos(theta), math.sin(theta)
+            g_prop = g * c + g_nu * s
             suff_prop = self._suffstats(g_prop)
             ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
             if ll_prop > log_u:
-                st.white = white_prop
+                st.white = st.white * c + nu * s
                 self._g = g_prop
                 self._suff = suff_prop
                 self._loglik = ll_prop
@@ -306,8 +312,8 @@ class _Sampler:
         ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
         log_alpha = (
             ll_prop - self._loglik
-            + float(self.prior.ell_prior.log_density(ell_prop))
-            - float(self.prior.ell_prior.log_density(ell_cur))
+            + self.prior.ell_prior.log_density(ell_prop)
+            - self.prior.ell_prior.log_density(ell_cur)
             + log_ell_prop - st.log_ell
         )
         alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
@@ -330,8 +336,8 @@ class _Sampler:
         lam_cur = math.exp(st.log_lambda_star)
         log_alpha = (
             ll_prop - self._loglik
-            + float(self.prior.lam_prior.log_density(lam_prop))
-            - float(self.prior.lam_prior.log_density(lam_cur))
+            + self.prior.lam_prior.log_density(lam_prop)
+            - self.prior.lam_prior.log_density(lam_cur)
             + log_lam_prop - st.log_lambda_star
         )
         alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)

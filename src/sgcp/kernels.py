@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sci_integrate
+from scipy.linalg import lapack as _lapack
 
 from .point_process import Grid
 
@@ -167,12 +168,18 @@ def kernel_eval(ell: float, s, t) -> float:
 
 
 def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs."""
+    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs.
+
+    The squared distances are summed from per-axis differences, so the matrix
+    is exactly symmetric with an exact unit diagonal and no cancellation.
+    """
     points = np.asarray(points, dtype=np.float64)
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-(ell * ell) * d2)
+    d2 = None
+    for axis in points.T:
+        diff = np.subtract.outer(axis, axis)
+        d2 = diff * diff if d2 is None else d2 + diff * diff
+    d2 *= -(ell * ell)
+    return np.exp(d2, out=d2)
 
 
 def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,17 +187,20 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
 
     Starts at 1e-10 and multiplies by 10 up to 1e-6; squared-exponential Gram
     matrices are ill-conditioned enough that a bare factorization is not
-    attempted. Raises FactorizationError if every level fails.
+    attempted. Each level adds the jitter to the diagonal of a Fortran-ordered
+    copy of ``K`` and factors it in place with LAPACK ``dpotrf``. Returns the
+    factor and the jitter it needed; raises FactorizationError if every level
+    fails.
     """
     m = K.shape[0]
     jitter = JITTER_START
-    eye = np.eye(m)
     while jitter <= JITTER_MAX * (1.0 + 1e-12):
-        try:
-            L = np.linalg.cholesky(K + jitter * eye)
+        A = np.array(K, dtype=np.float64, order="F")
+        A.flat[::m + 1] += jitter
+        L, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        jitter *= 10.0
     raise FactorizationError(
         f"Cholesky failed for {m}x{m} covariance after jitter escalation to {JITTER_MAX:g}"
     )

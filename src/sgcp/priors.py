@@ -111,13 +111,12 @@ class LengthScalePriorSpec:
         if self.shape <= 0.0 or self.rate <= 0.0:
             raise ValueError("gamma parameters must be positive")
 
-    def log_density(self, ell) -> np.ndarray:
-        ell = np.asarray(ell, dtype=np.float64)
-        if np.any(ell <= 0.0):
+    def log_density(self, ell: float) -> float:
+        if ell <= 0.0:
             raise ValueError("length scale must be positive")
         d, a, b = self.dim, self.shape, self.rate
         return (math.log(d) + a * math.log(b) - math.lgamma(a)
-                + (d * a - 1.0) * np.log(ell) - b * ell**d)
+                + (d * a - 1.0) * math.log(ell) - b * ell**d)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         y = rng.gamma(self.shape, 1.0 / self.rate, size=size)
@@ -140,12 +139,11 @@ class MaxIntensityPriorSpec:
         if self.shape <= 0.0 or self.rate <= 0.0:
             raise ValueError("gamma parameters must be positive")
 
-    def log_density(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=np.float64)
-        if np.any(lam <= 0.0):
+    def log_density(self, lam: float) -> float:
+        if lam <= 0.0:
             raise ValueError("intensity ceiling must be positive")
         a, b = self.shape, self.rate
-        return a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - b * lam
+        return a * math.log(b) - math.lgamma(a) + (a - 1.0) * math.log(lam) - b * lam
 
     def survival(self, x) -> np.ndarray:
         return _sci_special.gammaincc(self.shape, self.rate * np.asarray(x, dtype=np.float64))
@@ -217,7 +215,7 @@ def validate_length_scale_tail(
         bounds = default_length_scale_bounds(spec)
     xs = _probe_window(window, n_points)
     logx = np.log(xs)
-    log_density = spec.log_density(xs)
+    log_density = np.array([spec.log_density(x) for x in xs.tolist()])
     logk = np.where(logx > 0.0, np.log(logx), -np.inf)  # log log x, window keeps x>1
     shape_term = bounds.power * logx
     decay_base = xs**spec.dim * np.exp(bounds.log_power * logk) if bounds.log_power else xs**spec.dim

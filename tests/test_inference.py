@@ -9,8 +9,10 @@ from scipy import stats
 from sgcp import (PROBIT, ChainConfig, Grid, IntensityField, ModelState, NumericalError,
                   PointPattern, SgcpPrior, effective_sample_size, geweke_joint_test,
                   initial_state, log_likelihood, rng_for, run_chain)
+import sgcp.inference
 from sgcp._accel import sigmoid
 from sgcp.inference import _Sampler, cov_matrix
+from sgcp.kernels import apply_factor
 
 
 class TestChainConfig:
@@ -83,6 +85,44 @@ class TestSamplerInternals:
             s.update_latent(rng)
             s.update_length_scale(rng)
             s.update_ceiling(rng)
+        s.scratch_check()
+
+    def test_slice_move_rejects_underflowing_proposal(self, monkeypatch):
+        # the first proposal is replaced by a field whose link underflows to 0
+        # at the data point; its -inf likelihood can never pass the threshold
+        s = self._make([PointPattern(1, np.array([[0.4]]))])
+        seen = []
+        real = sgcp.inference.sgcp_suffstats
+
+        def underflow_first(g, weights, stencil):
+            stats_ = real(np.full_like(g, -800.0) if not seen else g, weights, stencil)
+            seen.append(stats_[0])
+            return stats_
+
+        monkeypatch.setattr(sgcp.inference, "sgcp_suffstats", underflow_first)
+        s.update_latent(rng_for(15))
+        assert seen[0] == -math.inf
+        assert len(seen) >= 2
+        assert math.isfinite(s._loglik)
+        assert np.all(s.latent > -800.0)
+
+    def test_cached_field_does_not_drift(self):
+        # with ell fixed the factor never refreshes the field, which the slice
+        # move updates incrementally as g cos + (L nu) sin
+        prior = SgcpPrior(dim=1)
+        grid = Grid(1, 32)
+        truth = IntensityField(grid, np.full(32, 5.0))
+        from sgcp import simulate_thinning
+        rng = rng_for(16, 0)
+        pats = [simulate_thinning(5.0, truth, rng) for _ in range(20)]
+        s = _Sampler(prior, grid, ChainConfig(resolution=32, update_ell=False))
+        s.set_data(pats)
+        s.set_state(initial_state(prior, grid, pats))
+        rng = rng_for(16, 1)
+        for _ in range(5000):
+            s.sweep(rng)
+        fresh = apply_factor(s._L, s.state.white, 1)
+        np.testing.assert_allclose(s.latent, fresh, rtol=0.0, atol=1e-9)
         s.scratch_check()
 
     def test_pattern_dim_checked(self):

@@ -135,6 +135,12 @@ class TestCovMatrix:
         K = cov_matrix(0.7, rng_for(12).random((8, 3)))
         np.testing.assert_allclose(np.diag(K), 1.0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_symmetric_with_exact_unit_diagonal(self, dim):
+        K = cov_matrix(2.3, rng_for(13, dim).random((40, dim)))
+        np.testing.assert_array_equal(K, K.T)
+        assert np.all(np.diag(K) == 1.0)
+
 
 class TestFactorizationAndSampling:
     def test_chol_reconstructs(self):
@@ -148,6 +154,16 @@ class TestFactorizationAndSampling:
         K = np.ones((5, 5))
         L, jitter = chol_with_jitter(K)
         assert np.all(np.isfinite(L))
+
+    def test_chol_returns_the_jitter_it_needed(self):
+        # smallest eigenvalue -5e-9: 1e-10 and 1e-9 leave it indefinite, 1e-8 does not
+        q, _ = np.linalg.qr(rng_for(14).standard_normal((6, 6)))
+        K = (q * np.array([1.0, 0.5, 0.3, 0.2, 0.1, -5e-9])) @ q.T
+        K = 0.5 * (K + K.T)
+        L, jitter = chol_with_jitter(K)
+        assert jitter == pytest.approx(1e-8, rel=1e-12)
+        np.testing.assert_array_equal(np.triu(L, 1), 0.0)
+        np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(6), rtol=0.0, atol=1e-14)
 
     def test_chol_fails_on_indefinite(self):
         with pytest.raises(FactorizationError):

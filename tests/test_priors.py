@@ -73,6 +73,22 @@ class TestLengthScalePrior:
                                     0.0, np.inf)
             assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_density_matches_scipy_gamma_change_of_variables(self, dim):
+        # ell = Y^(1/d) with Y ~ Gamma(a, b): p(ell) = p_Y(ell^d) d ell^(d-1)
+        for a, b in ((1.0, 1.0), (1.5, 2.0), (0.7, 0.3)):
+            spec = LengthScalePriorSpec(dim=dim, shape=a, rate=b)
+            for x in (1e-3, 0.4, 1.0, 2.7, 30.0):
+                want = (stats.gamma.logpdf(x**dim, a, scale=1.0 / b)
+                        + math.log(dim) + (dim - 1) * math.log(x))
+                assert spec.log_density(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_density_rejects_non_positive(self):
+        spec = LengthScalePriorSpec(dim=2)
+        for x in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                spec.log_density(x)
+
     def test_sampled_ell_to_the_d_is_gamma(self):
         spec = LengthScalePriorSpec(dim=2, shape=1.0, rate=1.0)
         draws = spec.sample(rng_for(41), size=4000) ** 2
@@ -92,6 +108,18 @@ class TestLengthScalePrior:
 
 
 class TestMaxIntensityPrior:
+    def test_density_matches_scipy_gamma(self):
+        for a, b in ((2.0, 1.0), (1.0, 0.5), (3.5, 4.0)):
+            spec = MaxIntensityPriorSpec(shape=a, rate=b)
+            for x in (1e-3, 0.4, 1.0, 2.7, 30.0):
+                want = stats.gamma.logpdf(x, a, scale=1.0 / b)
+                assert spec.log_density(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_density_rejects_non_positive(self):
+        for x in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                MaxIntensityPriorSpec().log_density(x)
+
     def test_survival_matches_scipy(self):
         spec = MaxIntensityPriorSpec(shape=2.0, rate=1.0)
         x = np.array([0.5, 2.0, 10.0])
