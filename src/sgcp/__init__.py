@@ -22,7 +22,7 @@ from .kernels import (FactorizationError, MomentCheck, QuadratureError, Spectral
                       check_exponential_moment, chol_with_jitter, cov_matrix,
                       kernel_eval, sample_gp, spectral_characteristic,
                       spectral_covariance_quadrature)
-from .metrics import credible_radius, distances_to_truth, hellinger_surrogate, sqrt_l2_distance
+from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, PointPattern,
                             integrate_field, log_likelihood, read_field_csv,
                             read_pattern_csv, simulate_thinning, write_field_csv,

@@ -131,6 +131,10 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     if len(dims) != 1:
         raise DataError(f"patterns mix dimensions {sorted(dims)}")
     dim = dims.pop()
+    truth_path = os.path.join(args.data, "truth.csv")
+    truth = read_field_csv(truth_path) if os.path.exists(truth_path) else None
+    if truth is not None and truth.dim != dim:
+        raise DataError(f"{truth_path} is {truth.dim}-D but the patterns are {dim}-D")
     prior = cfg.prior(dim)
     seed, chain_cfg = cfg.experiment.seed, cfg.experiment.chain
     chain = run_chain(patterns, prior, chain_cfg, rng_for(seed, 1))
@@ -156,9 +160,7 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         "resolution": chain_cfg.resolution,
         "seed": seed,
     }
-    truth_path = os.path.join(args.data, "truth.csv")
-    if os.path.exists(truth_path):
-        truth = read_field_csv(truth_path)
+    if truth is not None:
         if truth.grid != chain.grid:
             truth = IntensityField(chain.grid, truth.at(chain.grid.nodes()))
         dists = distances_to_truth(chain.intensity, truth)

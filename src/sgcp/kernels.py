@@ -20,6 +20,8 @@ spectral family with per-axis standard deviation sqrt(2) reproduces the
 closed form exactly, and the exponential moment of ``mu`` must be finite. A
 heavy-tailed Cauchy family is included to exercise the exponential-moment
 check's divergent branch; it is not kernel-grade (infinite second moment).
+The adaptive quadrature these checks use, ``scipy.integrate``, is imported on
+first use, so the sampler's import path does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy.linalg import lapack as _lapack
 
 from .point_process import Grid
@@ -136,12 +137,14 @@ def spectral_characteristic(mu: SpectralDensity, ell: float, lag: np.ndarray) ->
             "generic spectral quadrature is implemented for d=1 only; "
             "use the gaussian family for d >= 2"
         )
+    from scipy import integrate
+
     # even isotropic density: the transform is real, 2 * int_0^inf mu(r) cos(a r) dr
     freq = abs(float(a[0]))
     if freq == 0.0:
-        val, err = _sci_integrate.quad(lambda r: mu.radial(r), 0.0, np.inf, limit=200)
+        val, err = integrate.quad(lambda r: mu.radial(r), 0.0, np.inf, limit=200)
     else:
-        val, err = _sci_integrate.quad(
+        val, err = integrate.quad(
             lambda r: mu.radial(r), 0.0, np.inf, weight="cos", wvar=freq, limit=200
         )
     if not np.isfinite(val) or err > 1e-8:
@@ -259,10 +262,12 @@ def check_exponential_moment(mu: SpectralDensity, delta: float) -> MomentCheck:
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    from scipy import integrate
+
     area = _sphere_area(mu.dim)
 
     def shell(lo: float, hi: float) -> float:
-        val, _ = _sci_integrate.quad(
+        val, _ = integrate.quad(
             lambda r: math.exp(delta * r) * float(mu.radial(r)) * r ** (mu.dim - 1),
             lo,
             hi,

@@ -3,8 +3,7 @@
 The working metric is the L2 distance between square roots,
 ``d(a, b) = ( integral (sqrt a - sqrt b)^2 ds )^(1/2)``, evaluated with the
 same tensor-product trapezoid rule the rest of the package uses, so constants
-are handled exactly. ``hellinger_surrogate`` caps it at one, mirroring how a
-bounded comparison metric is usually reported.
+are handled exactly.
 """
 
 from __future__ import annotations
@@ -26,11 +25,6 @@ def sqrt_l2_distance(a: IntensityField, b: IntensityField) -> float:
     w = trapezoid_weights(a.dim, a.resolution)
     diff = np.sqrt(a.values) - np.sqrt(b.values)
     return float(np.sqrt(w @ (diff * diff)))
-
-
-def hellinger_surrogate(a: IntensityField, b: IntensityField) -> float:
-    """The square-root distance truncated at one."""
-    return min(sqrt_l2_distance(a, b), 1.0)
 
 
 def distances_to_truth(intensity_draws: np.ndarray, truth: IntensityField) -> np.ndarray:

@@ -245,6 +245,8 @@ def read_pattern_csv(path) -> PointPattern:
                     header = int(parts[0])
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: dim is not an integer: {parts[0]!r}")
+                if header < 1:
+                    raise DataError(f"{path}:{lineno}: dim must be at least 1, got {header}")
                 continue
             parts = line.split(",")
             if len(parts) != header:

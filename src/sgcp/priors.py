@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sci_special
-from scipy import stats as _sci_stats
 
 from ._accel import sigmoid
 from .kernels import sample_gp
@@ -124,7 +123,7 @@ class LengthScalePriorSpec:
 
     @property
     def median(self) -> float:
-        y = _sci_stats.gamma.ppf(0.5, self.shape, scale=1.0 / self.rate)
+        y = _sci_special.gammaincinv(self.shape, 0.5) * (1.0 / self.rate)
         return float(y ** (1.0 / self.dim))
 
 
@@ -153,7 +152,7 @@ class MaxIntensityPriorSpec:
 
     @property
     def median(self) -> float:
-        return float(_sci_stats.gamma.ppf(0.5, self.shape, scale=1.0 / self.rate))
+        return float(_sci_special.gammaincinv(self.shape, 0.5) * (1.0 / self.rate))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sgcp import read_field_csv, read_pattern_csv
+from sgcp import DataError, get_truth, read_field_csv, read_pattern_csv, write_field_csv
 from sgcp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +142,30 @@ class TestFit:
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o3"),
                      "--n-iter", "100", "--n-burn", "10"])
         assert code == 3
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_is_data_error(self, tmp_path, dim):
+        bad = tmp_path / "dim"
+        bad.mkdir()
+        (bad / "pattern_0000.csv").write_text(f"{dim},resolution-free\n")
+        with pytest.raises(DataError, match="dim must be at least 1"):
+            read_pattern_csv(bad / "pattern_0000.csv")
+        code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o5"),
+                     "--n-iter", "100", "--n-burn", "10"])
+        assert code == 3
+
+    def test_truth_dimension_mismatch_is_data_error(self, sim_dir, tmp_path, capsys):
+        data = tmp_path / "mixed"
+        data.mkdir()
+        for src in sorted(sim_dir.glob("pattern_*.csv")):
+            (data / src.name).write_bytes(src.read_bytes())
+        write_field_csv(get_truth("sin2d").field(8), data / "truth.csv")
+        out = tmp_path / "o6"
+        code = main(["fit", "--data", str(data), "--out", str(out),
+                     "--n-iter", "100", "--n-burn", "10"])
+        assert code == 3
+        assert "2-D but the patterns are 1-D" in capsys.readouterr().err
+        assert not out.exists()  # refused before the chain ran
 
     def test_unsampled_link_is_config_error(self, sim_dir, tmp_path):
         cfg = tmp_path / "probit.ini"
@@ -284,3 +313,14 @@ def test_console_script_help():
     r = subprocess.run(["sgcp", "--help"], capture_output=True, text=True)
     assert r.returncode == 0
     assert "simulate" in r.stdout and "bench" in r.stdout
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    # a fresh interpreter: pytest has already imported scipy.stats in this one
+    probe = ("import sys, sgcp, sgcp.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                           filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

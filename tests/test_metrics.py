@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from sgcp import (Grid, IntensityField, credible_radius,
-                  distances_to_truth, hellinger_surrogate, rng_for, sample_gp,
-                  sqrt_l2_distance)
+from sgcp import (Grid, IntensityField, credible_radius, distances_to_truth, rng_for,
+                  sample_gp, sqrt_l2_distance)
 
 
 def _const(grid, c):
@@ -47,19 +46,6 @@ class TestSqrtL2Distance:
             pts = rng.random((400000, grid.dim))
             d_mc = float(np.sqrt(np.mean(diff.at(pts))))
             assert d == pytest.approx(d_mc, abs=1e-3)
-
-
-class TestHellingerSurrogate:
-    def test_caps_at_one(self):
-        grid = Grid(1, 9)
-        # raw distance 2 between constants 1 and 9
-        assert sqrt_l2_distance(_const(grid, 1.0), _const(grid, 9.0)) == pytest.approx(2.0)
-        assert hellinger_surrogate(_const(grid, 1.0), _const(grid, 9.0)) == 1.0
-
-    def test_below_cap_unchanged(self):
-        grid = Grid(1, 9)
-        d = hellinger_surrogate(_const(grid, 1.0), _const(grid, 2.25))
-        assert d == pytest.approx(0.5)
 
 
 class TestVectorizedDistances:

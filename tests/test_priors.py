@@ -13,6 +13,10 @@ from sgcp import (LOGISTIC, PROBIT, Grid, IntensityField, LengthScalePriorSpec,
                   sample_prior_intensity, validate_length_scale_tail,
                   validate_max_intensity_tail, w0_from_truth)
 
+# (shape, rate) pairs at which the gamma medians are compared with scipy.stats
+GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3, 0.7),
+               (12.0, 30.0))
+
 
 class TestLinks:
     def test_logistic_values(self):
@@ -100,6 +104,12 @@ class TestLengthScalePrior:
         m = spec.median
         assert float(special.gammainc(1.3, 0.7 * m**2)) == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_median_bitwise_equals_scipy_gamma_ppf(self, dim):
+        for a, b in GAMMA_PAIRS:
+            want = float(stats.gamma.ppf(0.5, a, scale=1.0 / b) ** (1.0 / dim))
+            assert LengthScalePriorSpec(dim=dim, shape=a, rate=b).median == want
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LengthScalePriorSpec(dim=1, shape=0.0)
@@ -127,9 +137,9 @@ class TestMaxIntensityPrior:
             spec.survival(x), stats.gamma(2.0, scale=1.0).sf(x), rtol=1e-10)
 
     def test_median(self):
-        spec = MaxIntensityPriorSpec(shape=2.0, rate=3.0)
-        assert spec.median == pytest.approx(
-            stats.gamma(2.0, scale=1.0 / 3.0).ppf(0.5), rel=1e-12)
+        for a, b in GAMMA_PAIRS:
+            want = float(stats.gamma.ppf(0.5, a, scale=1.0 / b))
+            assert MaxIntensityPriorSpec(shape=a, rate=b).median == want
 
 
 class TestTailValidators:
