@@ -1,8 +1,8 @@
 """Nonparametric Bayesian intensity learning for Poisson point processes.
 
 The model is the sigmoidal-Gaussian Cox process on the unit cube: a latent
-stationary Gaussian field, squashed through a sigmoidal link and scaled by a
-random ceiling, drives an inhomogeneous Poisson process. The package bundles
+stationary Gaussian field, squashed through the logistic sigmoid and scaled by
+a random ceiling, drives an inhomogeneous Poisson process. The package bundles
 the generative pieces (grids, fields, thinning simulation), the hierarchical
 prior with its analytic tail checks, a whitened MCMC sampler, intensity
 distances, and an experiment harness that measures how fast the posterior
@@ -27,10 +27,9 @@ from .point_process import (DataError, Grid, IntensityField, PointPattern,
                             integrate_field, log_likelihood, read_field_csv,
                             read_pattern_csv, simulate_thinning, write_field_csv,
                             write_pattern_csv)
-from .priors import (LOGISTIC, PROBIT, LengthScalePriorSpec, LengthScaleTailBounds,
-                     LinkFunction, MaxIntensityPriorSpec, SgcpPrior, SmallBallEstimate,
-                     ValidationResult, default_length_scale_bounds,
-                     estimate_sqrt_link_lipschitz, get_link,
+from .priors import (LOGISTIC_SQRT_LIPSCHITZ, LengthScalePriorSpec, LengthScaleTailBounds,
+                     MaxIntensityPriorSpec, SgcpPrior, SmallBallEstimate, ValidationResult,
+                     default_length_scale_bounds, estimate_sqrt_link_lipschitz,
                      prior_small_ball_probability, sample_prior_intensity,
                      validate_length_scale_tail, validate_max_intensity_tail,
                      w0_from_truth)

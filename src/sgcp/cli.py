@@ -36,8 +36,8 @@ from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, _write_meta,
                             integrate_field, read_field_csv, read_pattern_csv,
                             simulate_thinning, write_field_csv, write_pattern_csv)
-from .priors import (estimate_sqrt_link_lipschitz, validate_length_scale_tail,
-                     validate_max_intensity_tail)
+from .priors import (LOGISTIC_SQRT_LIPSCHITZ, estimate_sqrt_link_lipschitz,
+                     validate_length_scale_tail, validate_max_intensity_tail)
 from .truths import get_truth
 
 EXIT_OK = 0
@@ -122,8 +122,11 @@ def cmd_simulate(args, cfg: HarnessConfig) -> int:
 
 
 def cmd_fit(args, cfg: HarnessConfig) -> int:
-    names = sorted(f for f in os.listdir(args.data)
-                   if f.startswith("pattern_") and f.endswith(".csv"))
+    try:
+        names = sorted(f for f in os.listdir(args.data)
+                       if f.startswith("pattern_") and f.endswith(".csv"))
+    except OSError as e:
+        raise DataError(f"cannot list --data {args.data}: {e.strerror}") from None
     if not names:
         raise DataError(f"no pattern_*.csv files found in {args.data}")
     patterns = [read_pattern_csv(os.path.join(args.data, f)) for f in names]
@@ -174,9 +177,25 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     return EXIT_OK
 
 
+def _baseline_slope(path) -> float:
+    """The fitted slope of a frozen ``report.json``, read before any chain runs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read --baseline {path}: {e.strerror}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"--baseline {path} is not a JSON file: {e}") from None
+    slope = report.get("slope") if isinstance(report, dict) else None
+    if not isinstance(slope, (int, float)) or not math.isfinite(slope):
+        raise ConfigError(f"--baseline {path}: 'slope' must be a finite number, got {slope!r}")
+    return float(slope)
+
+
 def cmd_bench(args, cfg: HarnessConfig) -> int:
     if not args.band > 0.0:
         raise ConfigError(f"--band must be positive, got {args.band}")
+    base_slope = None if args.baseline is None else _baseline_slope(args.baseline)
     exp_cfg = dataclasses.replace(cfg.experiment, synthetic=args.synthetic)
     prior = cfg.prior(get_truth(exp_cfg.truth).dim)
 
@@ -198,10 +217,7 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
     print(f"fitted slope {report.slope:.4f} (theory exponent -{report.theory_exponent:.4f}); "
           f"{report.inversions} inversion(s)")
 
-    if args.baseline is not None:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        base_slope = float(baseline["slope"])
+    if base_slope is not None:
         if not base_slope < -0.25:
             print(f"CHECK FAIL: baseline slope {base_slope:.4f} is not steeper than -0.25")
             return EXIT_CHECK
@@ -264,10 +280,9 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
     checks.append(("heavy-tail-probe-divergence", not mh.converged,
                    f"divergence detected after {mh.shells} shells", None))
 
-    est = estimate_sqrt_link_lipschitz(prior.link)
-    bound = prior.link.sqrt_lipschitz + 1e-3
-    checks.append(("sqrt-link-lipschitz", est <= bound,
-                   f"estimate {est:.6f} vs stated constant {prior.link.sqrt_lipschitz:.6f}",
+    est = estimate_sqrt_link_lipschitz()
+    checks.append(("sqrt-link-lipschitz", est <= LOGISTIC_SQRT_LIPSCHITZ + 1e-3,
+                   f"estimate {est:.6f} vs stated constant {LOGISTIC_SQRT_LIPSCHITZ:.6f}",
                    None))
 
     all_ok = True
@@ -283,7 +298,6 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
                         "witness": w} for n, p, d, w in checks],
             "config_fingerprint": cfg.fingerprint(),
             "dim": args.dim,
-            "link": cfg.link,
             "seed": cfg.experiment.seed,
         }, os.path.join(args.out, "verify.json"))
     return EXIT_OK if all_ok else EXIT_CHECK

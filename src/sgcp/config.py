@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .inference import ChainConfig
-from .priors import LengthScalePriorSpec, MaxIntensityPriorSpec, SgcpPrior, get_link
+from .priors import LengthScalePriorSpec, MaxIntensityPriorSpec, SgcpPrior
 
 
 class ConfigError(ValueError):
@@ -51,7 +51,6 @@ _DEFAULTS = {
         "adapt_target": "0.3",
     },
     "prior": {
-        "link": "logistic",
         "ell_shape": "1.0",
         "ell_rate": "1.0",
         "lam_shape": "2.0",
@@ -138,7 +137,6 @@ class HarnessConfig:
     """
 
     experiment: ExperimentConfig
-    link: str
     ell_shape: float
     ell_rate: float
     lam_shape: float
@@ -149,7 +147,6 @@ class HarnessConfig:
         try:
             return SgcpPrior(
                 dim=dim,
-                link=get_link(self.link),
                 ell_prior=LengthScalePriorSpec(dim=dim, shape=self.ell_shape, rate=self.ell_rate),
                 lam_prior=MaxIntensityPriorSpec(shape=self.lam_shape, rate=self.lam_rate),
             )

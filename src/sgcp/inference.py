@@ -17,8 +17,8 @@ Likelihood of patterns N^1..N^n relative to a unit-rate Poisson process::
 
     sum_i [ sum_{x in N^i} log lambda(x) - integral (lambda - 1) ]
 
-which factors through two statistics of s = link(g): the summed log link at
-the data points and the grid integral of s. A periodic scratch recomputation
+which factors through two statistics of s = sigmoid(g): the summed log sigmoid
+at the data points and the grid integral of s. A periodic scratch recomputation
 of the cached log posterior guards against incremental drift.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
 from .kernels import MAX_DENSE_NODES, apply_factor, chol_with_jitter, cov_matrix
 from .point_process import Grid, IntensityField, PointPattern, integrate_field, simulate_thinning
-from .priors import LOGISTIC, SgcpPrior, sample_prior_intensity
+from .priors import SgcpPrior, sample_prior_intensity
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,11 +151,9 @@ class _Sampler:
     Caches the one-axis Cholesky factor ``L1`` for the current length scale
     (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
     fills and factors an r×r matrix for r nodes per axis), the interpolation
-    stencil of the data points and the two likelihood statistics. Only the
-    logistic link is implemented; a prior with another link is refused, and
-    so is a grid with more than ``MAX_DENSE_NODES`` nodes, a size no test or
-    benchmark exercises.
-    ``mutate_drop_integral`` deliberately corrupts the
+    stencil of the data points and the two likelihood statistics. A grid
+    with more than ``MAX_DENSE_NODES`` nodes, a size no test or benchmark
+    exercises, is refused. ``mutate_drop_integral`` deliberately corrupts the
     likelihood (for calibration-test power checks) by dropping the integral
     term.
     """
@@ -164,9 +162,6 @@ class _Sampler:
                  mutate_drop_integral: bool = False):
         if grid.dim != prior.dim:
             raise ValueError("grid dimension does not match the prior")
-        if prior.link != LOGISTIC:
-            raise ValueError(f"the sampler implements only the logistic link, "
-                             f"not {prior.link.name!r}")
         if grid.n_nodes > MAX_DENSE_NODES:
             raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler is "
                              f"guarded at {MAX_DENSE_NODES}")

@@ -65,9 +65,9 @@ class SpectralDensity:
     """Named isotropic spectral density on R^d.
 
     ``mass`` is the total mass ``||mu||`` and ``second_moment`` the (possibly
-    infinite) value of E||xi||^2; both are recorded explicitly. For every
-    built-in family the map ``a -> mu(a xi)`` is decreasing in a > 0, which is
-    asserted analytically per family rather than probed numerically.
+    infinite) value of E||xi||^2; both are recorded explicitly. Both families
+    have a radial density that decreases in r, so ``a -> mu(a xi)`` is
+    decreasing in a > 0.
     """
 
     name: str
@@ -91,11 +91,6 @@ class SpectralDensity:
         if self.name == "gaussian":
             return self.dim * self.sigma**2
         return float("inf")  # cauchy: test-only family, not kernel-grade
-
-    @property
-    def scale_decreasing(self) -> bool:
-        # gaussian: exp(-a^2 r^2 / ...) decreasing in a; cauchy: (1+a^2 r^2)^-p
-        return True
 
     def radial(self, r) -> np.ndarray:
         """Density value at any point with ``||xi|| = r``."""

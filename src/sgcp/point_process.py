@@ -217,6 +217,18 @@ def _write_meta(fh, meta: dict | None) -> None:
             fh.write(f"# {key}={meta[key]}\n")
 
 
+def _data_lines(path: Path):
+    """Yield ``(lineno, line)`` for the stripped, non-blank, non-comment lines of a file."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def write_pattern_csv(pattern: PointPattern, path, meta: dict | None = None) -> None:
     path = Path(path)
     with path.open("w") as fh:
@@ -230,33 +242,29 @@ def read_pattern_csv(path) -> PointPattern:
     path = Path(path)
     header = None
     rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split(",")
-                if len(parts) != 2 or parts[1] != PATTERN_HEADER_TAG:
-                    raise DataError(
-                        f"{path}:{lineno}: expected header '<dim>,{PATTERN_HEADER_TAG}', got {line!r}"
-                    )
-                try:
-                    header = int(parts[0])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: dim is not an integer: {parts[0]!r}")
-                if header < 1:
-                    raise DataError(f"{path}:{lineno}: dim must be at least 1, got {header}")
-                continue
+    for lineno, line in _data_lines(path):
+        if header is None:
             parts = line.split(",")
-            if len(parts) != header:
+            if len(parts) != 2 or parts[1] != PATTERN_HEADER_TAG:
                 raise DataError(
-                    f"{path}:{lineno}: expected {header} coordinates, got {len(parts)}"
+                    f"{path}:{lineno}: expected header '<dim>,{PATTERN_HEADER_TAG}', got {line!r}"
                 )
             try:
-                rows.append([float(v) for v in parts])
+                header = int(parts[0])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
+                raise DataError(f"{path}:{lineno}: dim is not an integer: {parts[0]!r}")
+            if header < 1:
+                raise DataError(f"{path}:{lineno}: dim must be at least 1, got {header}")
+            continue
+        parts = line.split(",")
+        if len(parts) != header:
+            raise DataError(
+                f"{path}:{lineno}: expected {header} coordinates, got {len(parts)}"
+            )
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
     if header is None:
         raise DataError(f"{path}: empty file, missing header")
     pts = np.asarray(rows, dtype=np.float64).reshape(len(rows), header)
@@ -279,24 +287,20 @@ def read_field_csv(path) -> IntensityField:
     path = Path(path)
     header = None
     values = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected header '<dim>,<resolution>'")
-                try:
-                    header = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-integer header fields: {line!r}")
-                continue
+    for lineno, line in _data_lines(path):
+        if header is None:
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected header '<dim>,<resolution>'")
             try:
-                values.append(float(line))
+                header = (int(parts[0]), int(parts[1]))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric grid value {line!r}")
+                raise DataError(f"{path}:{lineno}: non-integer header fields: {line!r}")
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric grid value {line!r}")
     if header is None:
         raise DataError(f"{path}: empty file, missing header")
     try:

@@ -6,12 +6,13 @@ The intensity prior is the pushforward of three independent draws::
     lam*   ~ gamma                        intensity ceiling
     g|ell  ~ GP(0, exp(-ell^2 ||t-s||^2)) latent field
 
-    lambda(s) = lam* * link(g(s))
+    lambda(s) = lam* * sigmoid(g(s))
 
-with a sigmoidal link mapping R onto (0, 1). Tail validators check the
-analytic envelopes the asymptotics rely on (sandwich bounds on the implied
-length-scale density, an exponential upper tail for the ceiling), and a
-Monte Carlo small-ball probe lower-bounds the prior mass near a truth.
+with the logistic sigmoid as the link mapping R onto (0, 1). Tail
+validators check the analytic envelopes the asymptotics rely on (sandwich
+bounds on the implied length-scale density, an exponential upper tail for
+the ceiling), and a Monte Carlo small-ball probe lower-bounds the prior mass
+near a truth.
 """
 
 from __future__ import annotations
@@ -26,70 +27,37 @@ from ._accel import sigmoid
 from .kernels import sample_gp
 from .point_process import Grid, IntensityField
 
+# sup_x |d/dx sqrt(sigmoid(x))|, attained where sigmoid(x) = 1/3
 LOGISTIC_SQRT_LIPSCHITZ = 1.0 / (3.0 * math.sqrt(3.0))
 
-
-@dataclass(frozen=True)
-class LinkFunction:
-    """Monotone map from R onto (0, 1) with a known sqrt-composition bound.
-
-    ``sqrt_lipschitz`` is sup_x |d/dx sqrt(link(x))|; for the logistic link the
-    supremum 1/(3*sqrt(3)) is attained where link(x) = 1/3.
-    """
-
-    name: str
-    sqrt_lipschitz: float
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.name == "logistic":
-            return sigmoid(x)
-        return _sci_special.ndtr(x)
-
-    def inverse(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("link inverse requires values strictly inside (0, 1)")
-        if self.name == "logistic":
-            return np.log(p) - np.log1p(-p)
-        return _sci_special.ndtri(p)
+# grid of estimate_sqrt_link_lipschitz: n points on [lo, hi]
+_LIPSCHITZ_LO, _LIPSCHITZ_HI, _LIPSCHITZ_N = -12.0, 12.0, 48001
 
 
-LOGISTIC = LinkFunction("logistic", LOGISTIC_SQRT_LIPSCHITZ)
-PROBIT = LinkFunction("probit", 0.3181638651607255)
-
-_LINKS = {"logistic": LOGISTIC, "probit": PROBIT}
-
-
-def get_link(name: str) -> LinkFunction:
-    try:
-        return _LINKS[name]
-    except KeyError:
-        raise ValueError(f"unknown link function {name!r}") from None
-
-
-def estimate_sqrt_link_lipschitz(link: LinkFunction, lo: float = -12.0, hi: float = 12.0,
-                                 n: int = 48001) -> float:
-    """Grid estimate of sup |d/dx sqrt(link(x))| by central differences."""
-    x = np.linspace(lo, hi, n)
+def estimate_sqrt_link_lipschitz() -> float:
+    """Grid estimate of sup |d/dx sqrt(sigmoid(x))| by central differences."""
+    x = np.linspace(_LIPSCHITZ_LO, _LIPSCHITZ_HI, _LIPSCHITZ_N)
     h = 1e-5
-    deriv = (np.sqrt(link(x + h)) - np.sqrt(link(x - h))) / (2.0 * h)
+    deriv = (np.sqrt(sigmoid(x + h)) - np.sqrt(sigmoid(x - h))) / (2.0 * h)
     return float(np.max(np.abs(deriv)))
 
 
-def w0_from_truth(truth: IntensityField, link: LinkFunction) -> tuple[np.ndarray, float]:
+def w0_from_truth(truth: IntensityField) -> tuple[np.ndarray, float]:
     """Latent centering of a strictly positive truth.
 
     Returns ``(w0, lam_star)`` with ``lam_star = 2 * max(truth)`` so that
-    ``lam_star * link(w0) == truth`` exactly on the grid and the link argument
-    stays in (0, 1/2], keeping the inverse bounded.
+    ``lam_star * sigmoid(w0) == truth`` exactly on the grid and the sigmoid
+    argument stays in (0, 1/2], keeping the logit bounded.
     """
     lam0 = truth.values
     if np.any(lam0 <= 0.0):
         raise ValueError("truth intensity must be strictly positive for latent centering")
     lam_star = 2.0 * float(np.max(lam0))
-    w0 = link.inverse(lam0 / lam_star)
-    return np.asarray(w0, dtype=np.float64), lam_star
+    p = lam0 / lam_star
+    if np.any(p == 0.0):
+        raise ValueError("truth intensity underflows to 0 against its ceiling; "
+                         "the logit is unbounded")
+    return np.log(p) - np.log1p(-p), lam_star
 
 
 @dataclass(frozen=True)
@@ -176,9 +144,9 @@ def _probe_window(window: tuple[float, float], n_points: int) -> np.ndarray:
 @dataclass(frozen=True)
 class LengthScaleTailBounds:
     """Constants of the sandwich
-    c_lower * x^power * exp(-decay_upper * x^d * log^log_power x)
+    c_lower * x^power * exp(-decay_upper * x^d)
       <= p(x) <=
-    c_upper * x^power * exp(-decay_lower * x^d * log^log_power x).
+    c_upper * x^power * exp(-decay_lower * x^d).
     """
 
     power: float
@@ -186,7 +154,6 @@ class LengthScaleTailBounds:
     decay_upper: float
     c_lower: float
     c_upper: float
-    log_power: float = 0.0
 
 
 def default_length_scale_bounds(spec: LengthScalePriorSpec) -> LengthScaleTailBounds:
@@ -199,7 +166,6 @@ def default_length_scale_bounds(spec: LengthScalePriorSpec) -> LengthScaleTailBo
         decay_upper=1.5 * b,
         c_lower=0.5 * lead,
         c_upper=2.0 * lead,
-        log_power=0.0,
     )
 
 
@@ -213,11 +179,9 @@ def validate_length_scale_tail(
     if bounds is None:
         bounds = default_length_scale_bounds(spec)
     xs = _probe_window(window, n_points)
-    logx = np.log(xs)
     log_density = np.array([spec.log_density(x) for x in xs.tolist()])
-    logk = np.where(logx > 0.0, np.log(logx), -np.inf)  # log log x, window keeps x>1
-    shape_term = bounds.power * logx
-    decay_base = xs**spec.dim * np.exp(bounds.log_power * logk) if bounds.log_power else xs**spec.dim
+    shape_term = bounds.power * np.log(xs)
+    decay_base = xs**spec.dim
     log_lo = math.log(bounds.c_lower) + shape_term - bounds.decay_upper * decay_base
     log_hi = math.log(bounds.c_upper) + shape_term - bounds.decay_lower * decay_base
     below = log_density < log_lo - 1e-9
@@ -260,10 +224,9 @@ def validate_max_intensity_tail(
 
 @dataclass(frozen=True)
 class SgcpPrior:
-    """Full prior bundle: link and hyperpriors of the squared-exponential field."""
+    """Full prior bundle: the hyperpriors of the squared-exponential field."""
 
     dim: int
-    link: LinkFunction = LOGISTIC
     ell_prior: LengthScalePriorSpec | None = None
     lam_prior: MaxIntensityPriorSpec | None = None
 
@@ -279,7 +242,7 @@ class SgcpPrior:
 def sample_prior_intensity(
     prior: SgcpPrior, grid: Grid, rng: np.random.Generator
 ) -> tuple[IntensityField, dict]:
-    """One draw of (ell, lam*, g) pushed through the link to an intensity field.
+    """One draw of (ell, lam*, g) pushed through the sigmoid to an intensity field.
 
     The draws come from ``rng`` in a fixed order: ``ell``, ``lam*``, then the
     white noise ``white`` with ``g = L(ell) @ white``. The returned dict holds
@@ -290,7 +253,7 @@ def sample_prior_intensity(
     ell = float(prior.ell_prior.sample(rng))
     lam_star = float(prior.lam_prior.sample(rng))
     white, g = sample_gp(ell, grid, rng)
-    field = IntensityField(grid, lam_star * prior.link(g))
+    field = IntensityField(grid, lam_star * sigmoid(g))
     return field, {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
 
 

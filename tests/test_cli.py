@@ -127,6 +127,16 @@ class TestFit:
         code = main(["fit", "--data", str(empty), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_data_path_not_a_directory_is_data_error(self, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        if kind == "file":
+            data.write_text("1,resolution-free\n0.5\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 3
+        assert "cannot list --data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_pattern_is_data_error(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -134,6 +144,19 @@ class TestFit:
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o2"),
                      "--n-iter", "100", "--n-burn", "10"])
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["pattern_0001.csv", "truth.csv"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, name):
+        data = tmp_path / "latin"
+        data.mkdir()
+        (data / "pattern_0000.csv").write_text("1,resolution-free\n0.5\n")
+        (data / name).write_bytes(b"1,resolution-free\n0.5\xff\n")
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--out", str(out),
+                     "--n-iter", "100", "--n-burn", "10"])
+        assert code == 3
+        assert f"{name}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_coordinate_is_data_error(self, tmp_path):
         bad = tmp_path / "nan"
@@ -167,14 +190,15 @@ class TestFit:
         assert "2-D but the patterns are 1-D" in capsys.readouterr().err
         assert not out.exists()  # refused before the chain ran
 
-    def test_unsampled_link_is_config_error(self, sim_dir, tmp_path):
-        cfg = tmp_path / "probit.ini"
-        cfg.write_text("[prior]\nlink = probit\n")
+    def test_unsampled_link_is_config_error(self, sim_dir, tmp_path, capsys):
+        # the logistic link is the only one, so [prior] link is not a key at all
+        cfg = tmp_path / "link.ini"
+        cfg.write_text("[prior]\nlink = logistic\n")
         code = main(["fit", "--data", str(sim_dir), "--config", str(cfg),
                      "--out", str(tmp_path / "o4"), "--n-iter", "100", "--n-burn", "10"])
         assert code == 2
-        # the analytic checks do not sample, so they still accept the link
-        assert main(["verify-priors", "--config", str(cfg)]) == 0
+        assert main(["verify-priors", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count("unknown config key prior.link") == 2
 
 
 class TestConfigHandling:
@@ -226,6 +250,16 @@ class TestConfigHandling:
         assert not out.exists()
 
 
+# --baseline files that bench must refuse before it runs, by name under tmp_path
+BAD_BASELINES = {
+    "bad.json": b'{"slope": ',
+    "latin.json": b'{"slope": -0.5, "truth": "\xff"}',
+    "noslope.json": b'{"ns": [25, 50]}',
+    "null.json": b'{"slope": null}',
+    "text.json": b'{"slope": "steep"}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "-5"],
     ["calibrate", "--rounds", "0"],
@@ -234,9 +268,19 @@ class TestConfigHandling:
     ["calibrate", "--rounds", "10"],
     ["calibrate", "--z-threshold", "-1"],
     ["verify-priors", "--delta", "-1"],
+    ["bench", "--synthetic", "--baseline", "absent.json"],
+    ["bench", "--synthetic", "--baseline", "."],
+    *(["bench", "--synthetic", "--baseline", name] for name in BAD_BASELINES),
 ], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band",
-        "calibrate-few-rounds", "calibrate-z-threshold", "verify-priors-delta"])
+        "calibrate-few-rounds", "calibrate-z-threshold", "verify-priors-delta",
+        "bench-baseline-missing", "bench-baseline-directory", "bench-baseline-bad-json",
+        "bench-baseline-not-utf8", "bench-baseline-no-slope", "bench-baseline-null-slope",
+        "bench-baseline-text-slope"])
 def test_bad_subcommand_argument_is_config_error(tmp_path, argv):
+    for name, content in BAD_BASELINES.items():
+        (tmp_path / name).write_bytes(content)
+    if "--baseline" in argv:
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()

@@ -13,7 +13,7 @@ def test_ini_defaults_match_dataclass_defaults():
 
 
 def test_default_fingerprint_is_stable():
-    assert load_config().fingerprint() == "6ba2386130b8"
+    assert load_config().fingerprint() == "8ac37e3aa358"
 
 
 def test_values_parsed_as_field_types():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sgcp import (PROBIT, ChainConfig, Grid, IntensityField, ModelState, NumericalError,
-                  PointPattern, SgcpPrior, effective_sample_size, geweke_joint_test,
+from sgcp import (ChainConfig, Grid, IntensityField, ModelState, NumericalError, PointPattern,
+                  SgcpPrior, effective_sample_size, geweke_joint_test,
                   initial_state, log_likelihood, rng_for, run_chain)
 import sgcp.inference
 from sgcp._accel import sigmoid
@@ -175,12 +175,6 @@ class TestRunChain:
         assert np.all(chain.lambda_star > 0.0)
         assert np.all(chain.intensity >= 0.0)
         assert np.all(chain.intensity <= chain.lambda_star[:, None])
-
-    def test_unsampled_link_refused(self):
-        prior = SgcpPrior(dim=1, link=PROBIT)
-        cfg = ChainConfig(n_iter=10, n_burn=1, resolution=8)
-        with pytest.raises(ValueError, match="probit"):
-            run_chain([], prior, cfg, rng_for(5))
 
     def test_dense_size_guard(self):
         # 70 x 70 = 4900 nodes: the sampler refuses the grid before filling a covariance

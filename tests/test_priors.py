@@ -1,4 +1,4 @@
-"""Link functions, hyperprior densities, tail validators, small-ball probe."""
+"""The logistic link, hyperprior densities, tail validators, small-ball probe."""
 
 import math
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from sgcp import (LOGISTIC, PROBIT, Grid, IntensityField, LengthScalePriorSpec,
+from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, IntensityField, LengthScalePriorSpec,
                   LengthScaleTailBounds, MaxIntensityPriorSpec, SgcpPrior,
                   default_length_scale_bounds, estimate_sqrt_link_lipschitz,
-                  get_link, get_truth, prior_small_ball_probability, rng_for,
+                  get_truth, prior_small_ball_probability, rng_for,
                   sample_prior_intensity, validate_length_scale_tail,
                   validate_max_intensity_tail, w0_from_truth)
+from sgcp._accel import sigmoid
 
 # (shape, rate) pairs at which the gamma medians are compared with scipy.stats
 GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3, 0.7),
@@ -21,52 +22,40 @@ GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3,
 class TestLinks:
     def test_logistic_values(self):
         x = np.array([-3.0, 0.0, 2.5])
-        np.testing.assert_allclose(LOGISTIC(x), special.expit(x), rtol=1e-14)
-        assert LOGISTIC(np.array([0.0]))[0] == 0.5
-
-    def test_probit_values(self):
-        x = np.array([-1.0, 0.0, 1.5])
-        np.testing.assert_allclose(PROBIT(x), special.ndtr(x), rtol=1e-14)
+        np.testing.assert_allclose(sigmoid(x), special.expit(x), rtol=1e-14)
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_inverse_roundtrip(self):
-        p = np.array([0.01, 0.3, 0.5, 0.99])
-        for link in (LOGISTIC, PROBIT):
-            np.testing.assert_allclose(link(link.inverse(p)), p, rtol=1e-12)
+        # w0_from_truth takes the logit of truth / (2 max truth), here p itself
+        p = np.array([0.01, 0.3, 0.5])
+        w0, lam_star = w0_from_truth(IntensityField(Grid(1, 3), p))
+        assert lam_star == 1.0
+        np.testing.assert_allclose(sigmoid(w0), p, rtol=1e-12)
 
     def test_inverse_domain(self):
-        with pytest.raises(ValueError):
-            LOGISTIC.inverse(np.array([0.0]))
-        with pytest.raises(ValueError):
-            PROBIT.inverse(np.array([1.0]))
-
-    def test_get_link(self):
-        assert get_link("logistic") is LOGISTIC
-        assert get_link("probit") is PROBIT
-        with pytest.raises(ValueError):
-            get_link("cauchit")
+        # the smallest subnormal over a ceiling of 20 rounds to 0, whose logit is -inf
+        field = IntensityField(Grid(1, 2), np.array([5e-324, 10.0]))
+        with pytest.raises(ValueError, match="underflows"):
+            w0_from_truth(field)
 
     def test_logistic_lipschitz_matches_analytic_maximum(self):
         # d/dx sqrt(sigma) = sqrt(sigma)(1-sigma)/2 peaks at sigma = 1/3
-        est = estimate_sqrt_link_lipschitz(LOGISTIC)
+        est = estimate_sqrt_link_lipschitz()
         assert est == pytest.approx(1.0 / (3.0 * math.sqrt(3.0)), abs=1e-5)
-        assert est <= LOGISTIC.sqrt_lipschitz + 1e-3
-
-    def test_probit_lipschitz_matches_stored_constant(self):
-        est = estimate_sqrt_link_lipschitz(PROBIT)
-        assert est == pytest.approx(PROBIT.sqrt_lipschitz, abs=1e-5)
+        assert est <= LOGISTIC_SQRT_LIPSCHITZ + 1e-3
 
 
 class TestCentering:
     def test_pushforward_recovers_truth(self):
         truth = get_truth("sin1d").field(17)
-        w0, lam_star = w0_from_truth(truth, LOGISTIC)
+        w0, lam_star = w0_from_truth(truth)
         assert lam_star == pytest.approx(2.0 * np.max(truth.values))
-        np.testing.assert_allclose(lam_star * LOGISTIC(w0), truth.values, rtol=1e-12)
+        np.testing.assert_allclose(lam_star * sigmoid(w0), truth.values, rtol=1e-12)
 
     def test_positive_truth_required(self):
         field = IntensityField(Grid(1, 3), np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
-            w0_from_truth(field, LOGISTIC)
+            w0_from_truth(field)
 
 
 class TestLengthScalePrior:
