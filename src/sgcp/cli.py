@@ -196,6 +196,9 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
     if not args.band > 0.0:
         raise ConfigError(f"--band must be positive, got {args.band}")
     base_slope = None if args.baseline is None else _baseline_slope(args.baseline)
+    if base_slope is not None and not base_slope < -0.25:
+        print(f"CHECK FAIL: baseline slope {base_slope:.4f} is not steeper than -0.25")
+        return EXIT_CHECK
     exp_cfg = dataclasses.replace(cfg.experiment, synthetic=args.synthetic)
     prior = cfg.prior(get_truth(exp_cfg.truth).dim)
 
@@ -218,9 +221,6 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
           f"{report.inversions} inversion(s)")
 
     if base_slope is not None:
-        if not base_slope < -0.25:
-            print(f"CHECK FAIL: baseline slope {base_slope:.4f} is not steeper than -0.25")
-            return EXIT_CHECK
         if abs(report.slope - base_slope) > args.band:
             print(f"CHECK FAIL: slope {report.slope:.4f} outside +/-{args.band} "
                   f"of baseline {base_slope:.4f}")

@@ -46,9 +46,6 @@ _DEFAULTS = {
         "n_burn": "5000",
         "thin": "5",
         "step_log_ell": "0.3",
-        "step_log_lambda": "0.3",
-        "adapt": "true",
-        "adapt_target": "0.3",
     },
     "prior": {
         "ell_shape": "1.0",
@@ -57,8 +54,6 @@ _DEFAULTS = {
         "lam_rate": "1.0",
     },
 }
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -80,7 +75,6 @@ def _parse_ns(text: str) -> tuple:
 _PARSERS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
-    "bool": (lambda text: _BOOL[text.lower()], "a boolean"),
     "str": (str, "a string"),
     "tuple": (_parse_ns, "comma-separated integers"),
 }
@@ -93,7 +87,7 @@ def _from_section(cls, section: str, values: dict, **given):
         parse, expected = _PARSERS[types[key]]
         try:
             given[key] = parse(text.strip())
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(f"{section}.{key}: expected {expected}, got {text!r}") from None
     return cls(**given)
 

@@ -7,19 +7,23 @@ on one axis of the grid (``kernels.apply_factor``). Moves:
 
 * elliptical slice update of ``white`` (exact prior rotation, likelihood-only
   threshold, bracket shrinking);
-* random-walk Metropolis on ``log ell`` — because the white coordinates are
-  held fixed, the latent field deforms coherently with the proposal and no
-  separate Jacobian for the field is needed;
-* random-walk Metropolis on ``log lam*`` using cached sufficient statistics,
-  so ceiling moves never touch the latent field.
+* random-walk Metropolis on ``log ell``, its step adapted in burn-in toward
+  ``ADAPT_TARGET`` — with the white coordinates held fixed the field deforms
+  coherently with the proposal, so no Jacobian for the field is needed;
+* an exact draw of ``lam*``, last in the sweep.
 
-Likelihood of patterns N^1..N^n relative to a unit-rate Poisson process::
+Likelihood of patterns N^1..N^n (N points in all) relative to a unit-rate
+Poisson process, with s = sigmoid(g)::
 
     sum_i [ sum_{x in N^i} log lambda(x) - integral (lambda - 1) ]
+        = N log lam* + sum log s - n (lam* int s - 1)
 
-which factors through two statistics of s = sigmoid(g): the summed log sigmoid
-at the data points and the grid integral of s. A periodic scratch recomputation
-of the cached log posterior guards against incremental drift.
+The Gamma(a, b) prior on lam* is conjugate, so when lam* is sampled the slice
+and ``ell`` moves target ``sum log s - (a + N) log(b + n int s)``, lam*
+integrated out, and the sweep ends with ``lam* ~ Gamma(a + N, rate b + n int
+s)``: a partially collapsed Gibbs sampler, valid only with that draw last
+(van Dyk & Park 2008). A periodic scratch recomputation of the cached target
+guards against incremental drift.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ N_BATCHES = 32
 MIN_ROUNDS = 2 * N_BATCHES
 # a chained ceiling above this reports the calibration run as diverged
 LAMBDA_CAP = 1e5
+# burn-in adapts the ell step toward this acceptance rate
+ADAPT_TARGET = 0.3
 
 
 class NumericalError(RuntimeError):
@@ -62,9 +68,6 @@ class ChainConfig:
     thin: int = 5
     resolution: int = 64
     step_log_ell: float = 0.3
-    step_log_lambda: float = 0.3
-    adapt: bool = True
-    adapt_target: float = 0.3
     update_ell: bool = True
     update_lambda_star: bool = True
 
@@ -75,10 +78,8 @@ class ChainConfig:
             raise ValueError("thin must be >= 1")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if self.step_log_ell <= 0.0 or self.step_log_lambda <= 0.0:
-            raise ValueError("step sizes must be positive")
-        if not (0.0 < self.adapt_target < 1.0):
-            raise ValueError("adapt_target must lie in (0, 1)")
+        if self.step_log_ell <= 0.0:
+            raise ValueError("step_log_ell must be positive")
 
 
 @dataclass
@@ -151,11 +152,13 @@ class _Sampler:
     Caches the one-axis Cholesky factor ``L1`` for the current length scale
     (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
     fills and factors an r×r matrix for r nodes per axis), the interpolation
-    stencil of the data points and the two likelihood statistics. A grid
-    with more than ``MAX_DENSE_NODES`` nodes, a size no test or benchmark
-    exercises, is refused. ``mutate_drop_integral`` deliberately corrupts the
-    likelihood (for calibration-test power checks) by dropping the integral
-    term.
+    stencil of the data points, the two likelihood statistics and the target
+    of the moves: collapsed when ``update_lambda_star`` is on, else the joint
+    likelihood at the fixed lam*. A grid with more than ``MAX_DENSE_NODES``
+    nodes, a size no test or benchmark exercises, is refused.
+    ``mutate_drop_integral`` deliberately corrupts the model (for
+    calibration-test power checks) by dropping ``n int s`` from both targets
+    and from the rate of the lam* draw.
     """
 
     def __init__(self, prior: SgcpPrior, grid: Grid, config: ChainConfig,
@@ -172,11 +175,11 @@ class _Sampler:
         self.axis_nodes = Grid(1, grid.resolution).nodes()
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = config.step_log_ell
-        self.step_log_lambda = config.step_log_lambda
         self.points = np.empty((0, grid.dim))
         self.stencil = interp_stencil(grid.dim, grid.resolution, self.points)
         self.n_patterns = 0
         self.n_points = 0
+        self._post_shape = prior.lam_prior.shape  # a + N, the shape of lam* | g
         self.state: ModelState | None = None
         self._L = None
         self._g = None
@@ -198,6 +201,7 @@ class _Sampler:
         else:
             self.points = np.empty((0, self.grid.dim))
         self.n_points = self.points.shape[0]
+        self._post_shape = self.prior.lam_prior.shape + self.n_points
         self.stencil = interp_stencil(self.grid.dim, self.grid.resolution, self.points)
         if self.state is not None:
             self._refresh_likelihood()
@@ -217,6 +221,7 @@ class _Sampler:
         return sgcp_suffstats(g, self.weights, self.stencil)
 
     def _loglik_from(self, suff: tuple[float, float], log_lambda_star: float) -> float:
+        """Joint log likelihood of the data given the field and lam*."""
         sum_log_s, int_s = suff
         if not math.isfinite(sum_log_s):
             return -math.inf
@@ -226,9 +231,24 @@ class _Sampler:
             val -= self.n_patterns * (lam_star * int_s - 1.0)
         return val
 
+    def _ceiling_rate(self, int_s: float) -> float:
+        if self.mutate:
+            return self.prior.lam_prior.rate
+        return self.prior.lam_prior.rate + self.n_patterns * int_s
+
+    def _target_from(self, suff: tuple[float, float]) -> float:
+        """Log likelihood the moves target: lam* integrated out when it is
+        sampled, else the joint one at the fixed lam*."""
+        if not self.config.update_lambda_star:
+            return self._loglik_from(suff, self.state.log_lambda_star)
+        sum_log_s, int_s = suff
+        if not math.isfinite(sum_log_s):
+            return -math.inf
+        return sum_log_s - self._post_shape * math.log(self._ceiling_rate(int_s))
+
     def _refresh_likelihood(self) -> None:
         self._suff = self._suffstats(self._g)
-        self._loglik = self._loglik_from(self._suff, self.state.log_lambda_star)
+        self._loglik = self._target_from(self._suff)
 
     # -- diagnostics ----------------------------------------------------
 
@@ -241,21 +261,20 @@ class _Sampler:
         return self._suff[1]
 
     def log_posterior(self) -> float:
-        """Log density of the current state in whitened coordinates."""
+        """Joint log density of the current state in whitened coordinates."""
         st = self.state
         ell = math.exp(st.log_ell)
         lam = math.exp(st.log_lambda_star)
         val = -0.5 * float(st.white @ st.white)
         val += self.prior.ell_prior.log_density(ell) + st.log_ell
         val += self.prior.lam_prior.log_density(lam) + st.log_lambda_star
-        return val + self._loglik
+        return val + self._loglik_from(self._suff, st.log_lambda_star)
 
     def scratch_check(self, rtol: float = 1e-8) -> None:
-        """Recompute the cached pieces from the bare state and compare."""
+        """Recompute the cached target from the bare state and compare."""
         st = self.state
         g = apply_factor(self._factor(math.exp(st.log_ell)), st.white, self.grid.dim)
-        suff = self._suffstats(g)
-        ll = self._loglik_from(suff, st.log_lambda_star)
+        ll = self._target_from(self._suffstats(g))
         scale = 1.0 + abs(ll)
         if not math.isclose(ll, self._loglik, rel_tol=0.0, abs_tol=rtol * scale):
             raise NumericalError(
@@ -280,7 +299,7 @@ class _Sampler:
             c, s = math.cos(theta), math.sin(theta)
             g_prop = g * c + g_nu * s
             suff_prop = self._suffstats(g_prop)
-            ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
+            ll_prop = self._target_from(suff_prop)
             if ll_prop > log_u:
                 st.white = st.white * c + nu * s
                 self._g = g_prop
@@ -304,7 +323,7 @@ class _Sampler:
         L_prop = self._factor(ell_prop)
         g_prop = apply_factor(L_prop, st.white, self.grid.dim)
         suff_prop = self._suffstats(g_prop)
-        ll_prop = self._loglik_from(suff_prop, st.log_lambda_star)
+        ll_prop = self._target_from(suff_prop)
         log_alpha = (
             ll_prop - self._loglik
             + self.prior.ell_prior.log_density(ell_prop)
@@ -322,51 +341,30 @@ class _Sampler:
         self._last_alpha_ell = alpha
 
     def update_ceiling(self, rng: np.random.Generator) -> None:
-        """Random-walk move on log lam* through the cached statistics."""
-        st = self.state
+        """Exact draw of lam* from Gamma(a + N, rate b + n int s); the cached
+        collapsed target does not depend on lam*."""
         self.proposals["lambda"] += 1
-        log_lam_prop = st.log_lambda_star + self.step_log_lambda * rng.standard_normal()
-        ll_prop = self._loglik_from(self._suff, log_lam_prop)
-        lam_prop = math.exp(log_lam_prop)
-        lam_cur = math.exp(st.log_lambda_star)
-        log_alpha = (
-            ll_prop - self._loglik
-            + self.prior.lam_prior.log_density(lam_prop)
-            - self.prior.lam_prior.log_density(lam_cur)
-            + log_lam_prop - st.log_lambda_star
-        )
-        alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
-        if rng.random() < alpha:
-            st.log_lambda_star = log_lam_prop
-            self._loglik = ll_prop
-            self.accepts["lambda"] += 1
-        self._last_alpha_lambda = alpha
+        rate = self._ceiling_rate(self._suff[1])
+        self.state.log_lambda_star = math.log(rng.gamma(self._post_shape, 1.0 / rate))
+        self.accepts["lambda"] += 1
 
     def sweep(self, rng: np.random.Generator) -> None:
         self.update_latent(rng)
         if self.config.update_ell:
             self.update_length_scale(rng)
         if self.config.update_lambda_star:
-            self.update_ceiling(rng)
+            self.update_ceiling(rng)  # last: the moves above target lam* integrated out
 
     def adapt_steps(self, k: int) -> None:
-        """Robbins-Monro step-size adaptation toward the target acceptance."""
-        gain = (k + 1.0) ** -0.6
-        target = self.config.adapt_target
+        """Robbins-Monro adaptation of the ell step toward ``ADAPT_TARGET``."""
         if self.config.update_ell:
-            self.step_log_ell = _clamp_step(
-                self.step_log_ell * math.exp(gain * (self._last_alpha_ell - target)))
-        if self.config.update_lambda_star:
-            self.step_log_lambda = _clamp_step(
-                self.step_log_lambda * math.exp(gain * (self._last_alpha_lambda - target)))
+            gain = (k + 1.0) ** -0.6
+            step = self.step_log_ell * math.exp(gain * (self._last_alpha_ell - ADAPT_TARGET))
+            self.step_log_ell = min(max(step, 1e-3), 10.0)
 
     def reset_accept_counts(self) -> None:
         self.accepts = {"ell": 0, "lambda": 0}
         self.proposals = {"ell": 0, "lambda": 0}
-
-
-def _clamp_step(step: float) -> float:
-    return min(max(step, 1e-3), 10.0)
 
 
 def initial_state(prior: SgcpPrior, grid: Grid, patterns: list[PointPattern]) -> ModelState:
@@ -409,7 +407,7 @@ def run_chain(
     kept = 0
     for k in range(config.n_iter):
         sampler.sweep(rng)
-        if config.adapt and k < config.n_burn:
+        if k < config.n_burn:
             sampler.adapt_steps(k)
         if k == config.n_burn - 1:
             sampler.reset_accept_counts()
@@ -429,7 +427,6 @@ def run_chain(
         "n_eff_ell": effective_sample_size(ell_out[:kept]),
         "n_eff_lambda_star": effective_sample_size(lam_out[:kept]),
         "step_log_ell": sampler.step_log_ell,
-        "step_log_lambda": sampler.step_log_lambda,
     }
     denom_e = max(sampler.proposals["ell"], 1)
     denom_l = max(sampler.proposals["lambda"], 1)

@@ -219,7 +219,11 @@ def _write_meta(fh, meta: dict | None) -> None:
 
 def _data_lines(path: Path):
     """Yield ``(lineno, line)`` for the stripped, non-blank, non-comment lines of a file."""
-    with path.open(encoding="utf-8") as fh:
+    try:
+        fh = path.open(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()

@@ -148,7 +148,7 @@ def test_03_mcmc_correctness(report):
     mean_oracle = post @ G
     var_oracle = post @ (G - mean_oracle) ** 2
     fixed = ChainConfig(n_iter=60000, n_burn=5000, thin=5, resolution=3,
-                        update_ell=False, update_lambda_star=False, adapt=False)
+                        update_ell=False, update_lambda_star=False)
     init = ModelState(np.zeros(3), math.log(ell), math.log(lam_star))
     oracle_chain = run_chain([pattern], prior, fixed, rng_for(7, 3), init=init)
     mean_err = float(np.abs(oracle_chain.latent.mean(axis=0) - mean_oracle).max())

@@ -137,6 +137,14 @@ class TestFit:
         assert "cannot list --data" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_pattern_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        (data / "pattern_0000.csv").mkdir(parents=True)
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 3
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_pattern_is_data_error(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -311,10 +319,12 @@ class TestBench:
     def test_shallow_baseline_fails(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"slope": -0.2}))
-        code = main(["bench", "--out", str(tmp_path / "b"), "--synthetic",
+        out = tmp_path / "b"
+        code = main(["bench", "--out", str(out), "--synthetic",
                      "--ns", "25,50,100", "--replicates", "2",
                      "--baseline", str(base)])
         assert code == 5
+        assert not out.exists()  # refused before the design runs
 
     def test_synthetic_bitwise_repeatable(self, tmp_path):
         a, b = tmp_path / "ra", tmp_path / "rb"

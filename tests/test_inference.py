@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from sgcp import (ChainConfig, Grid, IntensityField, ModelState, NumericalError, PointPattern,
                   SgcpPrior, effective_sample_size, geweke_joint_test,
@@ -23,8 +23,6 @@ class TestChainConfig:
             ChainConfig(thin=0)
         with pytest.raises(ValueError):
             ChainConfig(step_log_ell=0.0)
-        with pytest.raises(ValueError):
-            ChainConfig(adapt_target=1.0)
 
 
 class TestEffectiveSampleSize:
@@ -67,7 +65,8 @@ class TestSamplerInternals:
         field = IntensityField(s.grid, lam_star * np.asarray(
             sigmoid(np.ascontiguousarray(s.latent))))
         want = log_likelihood(pats, field)
-        assert s._loglik == pytest.approx(want, rel=1e-10)
+        joint = s._loglik_from(s._suff, s.state.log_lambda_star)
+        assert joint == pytest.approx(want, rel=1e-10)
 
     def test_scratch_check_detects_corruption(self):
         s = self._make([PointPattern(1, np.array([[0.4]]))])
@@ -129,6 +128,85 @@ class TestSamplerInternals:
         s = self._make()
         with pytest.raises(ValueError):
             s.set_data([PointPattern(2, np.array([[0.1, 0.2]]))])
+
+
+class TestCollapsedCeiling:
+    """lam* is integrated out of the moves' target and drawn exactly, last."""
+
+    PATTERNS = [PointPattern(1, np.array([[0.21], [0.68]])),
+                PointPattern(1, np.array([[0.9]])),
+                PointPattern(1, np.array([[0.05], [0.4], [0.77]]))]
+
+    def _make(self, white):
+        s = _Sampler(SgcpPrior(dim=1), Grid(1, 9), ChainConfig(n_iter=10, n_burn=1, resolution=9))
+        s.set_data(self.PATTERNS)
+        s.set_state(ModelState(white, 0.0, math.log(2.0)))
+        return s
+
+    def test_target_is_likelihood_integrated_over_ceiling(self):
+        lam_prior = SgcpPrior(dim=1).lam_prior
+
+        def log_marginal(link):
+            # log of the integral of Gamma(lam; a, b) exp(log_likelihood(lam s)) over lam
+            def log_integrand(lam):
+                field = IntensityField(Grid(1, 9), lam * link)
+                return lam_prior.log_density(lam) + log_likelihood(self.PATTERNS, field)
+
+            peak = max(log_integrand(lam) for lam in np.geomspace(1e-2, 1e2, 401))
+            val, _ = integrate.quad(
+                lambda lam: math.exp(log_integrand(lam) - peak) if lam > 0.0 else 0.0,
+                0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+            return peak + math.log(val)
+
+        targets, marginals = [], []
+        for seed in (21, 22):
+            s = self._make(rng_for(seed).standard_normal(9))
+            targets.append(s._loglik)
+            marginals.append(log_marginal(np.asarray(sigmoid(s.latent))))
+        assert targets[0] != pytest.approx(targets[1], abs=1e-3)
+        assert targets[0] - targets[1] == pytest.approx(marginals[0] - marginals[1],
+                                                        rel=0.0, abs=1e-8)
+
+    def test_ceiling_draws_are_exact_gamma(self):
+        s = self._make(rng_for(23).standard_normal(9))
+        rng = rng_for(24)
+        draws = np.empty(2000)
+        for i in range(draws.size):
+            s.update_ceiling(rng)
+            draws[i] = math.exp(s.state.log_lambda_star)
+        shape = s.prior.lam_prior.shape + s.n_points
+        rate = s.prior.lam_prior.rate + s.n_patterns * s.integral_of_link
+        assert stats.kstest(draws, stats.gamma(shape, scale=1.0 / rate).cdf).pvalue > 0.01
+        # independent draws: every call moves lam*, where a random walk would stay put
+        assert np.unique(draws).size == draws.size
+        assert s.accepts["lambda"] == s.proposals["lambda"] == draws.size
+
+    def test_sweep_draws_ceiling_last(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            move = getattr(_Sampler, name)
+
+            def wrapped(self, rng):
+                calls.append(name)
+                move(self, rng)
+            return wrapped
+
+        for name in ("update_latent", "update_length_scale", "update_ceiling"):
+            monkeypatch.setattr(_Sampler, name, spy(name))
+        white = rng_for(25).standard_normal(9)
+        plain, spoiled = self._make(white.copy()), self._make(white.copy())
+        rng_a, rng_b = rng_for(26), rng_for(26)
+        for _ in range(20):
+            plain.sweep(rng_a)
+            # the moves before the lam* draw never read lam*, so a wrong
+            # value left over from the last sweep changes nothing
+            spoiled.state.log_lambda_star = math.log(50.0)
+            spoiled.sweep(rng_b)
+        assert calls == ["update_latent", "update_length_scale", "update_ceiling"] * 40
+        np.testing.assert_array_equal(plain.state.white, spoiled.state.white)
+        assert plain.state.log_ell == spoiled.state.log_ell
+        assert plain.state.log_lambda_star == spoiled.state.log_lambda_star
 
 
 class TestInitialState:
@@ -217,7 +295,7 @@ class TestRunChain:
     def test_fixed_hyperparameters_stay_fixed(self):
         prior = SgcpPrior(dim=1)
         cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8,
-                          update_ell=False, update_lambda_star=False, adapt=False)
+                          update_ell=False, update_lambda_star=False)
         init = ModelState(np.zeros(8), math.log(1.3), math.log(4.0))
         chain = run_chain([], prior, cfg, rng_for(6), init=init)
         np.testing.assert_allclose(chain.ell, 1.3, rtol=1e-12)
