@@ -38,9 +38,11 @@ def interp_stencil(
     """
     n = pts.shape[0]
     x = pts * (resolution - 1)
-    base = np.floor(x).astype(np.int64)
-    np.clip(base, 0, resolution - 2, out=base)
-    frac = x - base
+    floor = np.floor(x)
+    np.fmax(floor, 0.0, out=floor)  # in place: np.clip's wrapper dominates small calls
+    np.fmin(floor, resolution - 2, out=floor)
+    base = floor.astype(np.int64)
+    frac = x - floor
     flat = np.zeros((1 << dim, n), dtype=np.int64)
     w = np.ones((1 << dim, n))
     for corner in range(1 << dim):

@@ -158,7 +158,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
     merged = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        # '#' after whitespace starts a comment, as in the README's example file
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
             read = parser.read(path)
         except configparser.Error as e:

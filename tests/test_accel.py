@@ -41,6 +41,37 @@ def test_interp_apply_matches_corner_loop(dim, resolution):
     np.testing.assert_array_equal(interp_apply(values, stencil), want)
 
 
+
+def _clipped_int_stencil(dim, resolution, pts):
+    # the reference: the integer floor clipped by np.clip, then the corner loop
+    x = pts * (resolution - 1)
+    base = np.clip(np.floor(x).astype(np.int64), 0, resolution - 2)
+    frac = x - base
+    flat = np.zeros((1 << dim, pts.shape[0]), dtype=np.int64)
+    w = np.ones((1 << dim, pts.shape[0]))
+    for corner in range(1 << dim):
+        stride = 1
+        for a in range(dim - 1, -1, -1):
+            bit = (corner >> a) & 1
+            w[corner] *= frac[:, a] if bit else 1.0 - frac[:, a]
+            flat[corner] += (base[:, a] + bit) * stride
+            stride *= resolution
+    return flat, w
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 2), (1, 64), (2, 16), (3, 5)])
+def test_interp_stencil_matches_clipped_integer_floor(dim, resolution):
+    rng = np.random.default_rng(10 + dim)
+    pts = rng.random((200, dim))
+    pts[:dim + 1] = 0.0  # the cube's corners and faces: coordinates 0 and 1
+    pts[dim + 1:2 * dim + 2] = 1.0
+    pts[2 * dim + 2:3 * dim + 2] = np.eye(dim)
+    got_flat, got_w = interp_stencil(dim, resolution, pts)
+    want_flat, want_w = _clipped_int_stencil(dim, resolution, pts)
+    assert got_flat.dtype == want_flat.dtype
+    np.testing.assert_array_equal(got_flat, want_flat)
+    assert got_w.tobytes() == want_w.tobytes()
+
 def test_suffstats_underflow_at_a_data_point_is_minus_inf():
     # sigmoid(-800) underflows to exactly 0; its log must read -inf, quietly
     g = np.full(8, -800.0)

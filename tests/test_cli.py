@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from sgcp import DataError, get_truth, read_field_csv, read_pattern_csv, write_field_csv
+from sgcp import (DataError, experiment, get_truth, read_field_csv, read_pattern_csv,
+                  write_field_csv)
 from sgcp.cli import main
+from sgcp.inference import NumericalError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -334,6 +337,107 @@ class TestBench:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+_SPLIT_BENCH = ["bench", "--ns", "5,10", "--replicates", "2", "--resolution", "8",
+                "--n-iter", "400", "--n-burn", "100", "--seed", "17"]
+
+
+def _cpus(monkeypatch, count):
+    """Make the bench see ``count`` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestBenchCellSplit:
+    """The cells of a design run on the usable CPUs; outputs do not depend on how many."""
+
+    def _run(self, monkeypatch, capsys, tmp_path, cpus, argv):
+        _cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / f"cpus{cpus}"
+        code = main(argv + ["--verbose", "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return code, files, capsys.readouterr().out, len(forks)
+
+    def test_outputs_independent_of_cpu_count(self, monkeypatch, capsys, tmp_path):
+        one = self._run(monkeypatch, capsys, tmp_path, 1, _SPLIT_BENCH)
+        assert one[0] == 0
+        assert sorted(one[1]) == ["cells.csv", "medians.csv", "report.json"]
+        assert one[2].count("  n=") == 4 and one[3] == 0  # one CPU forks nothing
+        # four workers for four cells, more than this host may have: W - 1 forks
+        for cpus, forks in ((2, 1), (4, 3)):
+            code, files, stdout, forked = self._run(monkeypatch, capsys, tmp_path, cpus,
+                                                    _SPLIT_BENCH)
+            assert (code, files, stdout, forked) == (0, one[1], one[2], forks)
+        assert _no_child_left()
+
+    def test_synthetic_forks_nothing(self, monkeypatch, capsys, tmp_path):
+        code, files, _, forks = self._run(monkeypatch, capsys, tmp_path, 2,
+                                          ["bench", "--synthetic", "--seed", "17"])
+        assert code == 0 and "report.json" in files
+        assert forks == 0
+
+    def test_child_failure_is_reraised(self, monkeypatch, capsys, tmp_path):
+        parent, real_run_chain = os.getpid(), experiment.run_chain
+
+        def run_chain(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericalError("broken in a child")
+            time.sleep(1.0)  # the child takes the next cell meanwhile
+            return real_run_chain(*args, **kwargs)
+
+        def always_fails(*args, **kwargs):
+            raise NumericalError("broken")
+
+        monkeypatch.setattr(experiment, "run_chain", always_fails)
+        serial_code, files, _, _ = self._run(monkeypatch, capsys, tmp_path, 1, _SPLIT_BENCH)
+        assert serial_code == 4 and not files
+        monkeypatch.setattr(experiment, "run_chain", run_chain)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "split"
+        code = main(_SPLIT_BENCH + ["--out", str(out)])
+        assert code == serial_code
+        assert "broken in a child" in capsys.readouterr().err
+        assert not out.exists()
+        assert _no_child_left()
+
+    def test_child_that_dies_is_an_error(self, monkeypatch, tmp_path):
+        parent, real_run_chain = os.getpid(), experiment.run_chain
+
+        def run_chain(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            time.sleep(1.0)
+            return real_run_chain(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_chain", run_chain)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "dead"
+        with pytest.raises(RuntimeError, match="without sending its cells"):
+            main(_SPLIT_BENCH + ["--out", str(out)])
+        assert not out.exists()
+        assert _no_child_left()
+
+
 class TestCalibrate:
     def test_clean_passes(self, tmp_path, capsys):
         out = tmp_path / "cal"
@@ -372,7 +476,8 @@ def test_console_script_help():
 def test_import_skips_scipy_stats_and_integrate():
     # a fresh interpreter: pytest has already imported scipy.stats in this one
     probe = ("import sys, sgcp, sgcp.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'multiprocessing') "
+             "if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(
                            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})

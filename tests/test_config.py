@@ -1,5 +1,8 @@
 """INI configuration: defaults, typed parsing, and the config fingerprint."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from sgcp import ChainConfig, ConfigError, ExperimentConfig, SgcpPrior, load_config
@@ -10,6 +13,19 @@ def test_ini_defaults_match_dataclass_defaults():
     cfg = load_config()
     assert cfg.experiment == ExperimentConfig()
     assert cfg.prior(1) == SgcpPrior(dim=1)
+
+
+def test_readme_configuration_block_loads_to_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert "  # " in block  # the block carries inline comments
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.experiment == ExperimentConfig()
+    assert cfg.experiment.chain == ChainConfig()
+    for dim in (1, 2):
+        assert cfg.prior(dim) == SgcpPrior(dim=dim)
 
 
 def test_default_fingerprint_is_stable():

@@ -67,6 +67,15 @@ class TestSyntheticMode:
         assert report.slope == pytest.approx(-0.37, abs=1e-12)
         assert report.intercept == pytest.approx(math.log(2.5), abs=1e-12)
 
+    def test_design_larger_than_a_pipe_buffer(self):
+        # 18000 four-byte hand-out records overflow a 64 KiB pipe: the queue is fed,
+        # not filled up front, so the design still runs, every cell once and in order
+        cfg = ExperimentConfig(ns=(25, 50), replicates=9000, synthetic=True,
+                               chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
+        report = run_contraction_experiment(cfg)
+        assert [(c.n, c.replicate) for c in report.cells] == \
+            [(n, rep) for n in (25, 50) for rep in range(9000)]
+
     def test_report_dict_round_trips_through_json(self):
         report = run_contraction_experiment(self._config())
         blob = json.dumps(report_to_dict(report), sort_keys=True)
