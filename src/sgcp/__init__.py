@@ -18,10 +18,9 @@ from .experiment import (CellResult, ContractionReport, count_inversions, fit_ra
 from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,
                         initial_state, run_chain)
-from .kernels import (FactorizationError, MomentCheck, QuadratureError, SpectralDensity,
-                      check_exponential_moment, chol_with_jitter, cov_matrix,
-                      kernel_eval, sample_gp, spectral_characteristic,
-                      spectral_covariance_quadrature)
+from .kernels import (FactorizationError, SpectralDensity, chol_with_jitter, cov_matrix,
+                      exponential_moment_log_bound, kernel_eval, sample_gp,
+                      spectral_characteristic, spectral_covariance_quadrature)
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, PointPattern,
                             integrate_field, log_likelihood, read_field_csv,

@@ -71,6 +71,16 @@ def _parse_ns(text: str) -> tuple:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _canonical(value) -> str:
+    """One spelling per parsed value: ``repr`` for floats, ``", "`` between
+    tuple items, ``str`` otherwise."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
 # annotated field type -> (parser, what the error message says was expected)
 _PARSERS = {
     "int": (int, "an integer"),
@@ -135,7 +145,6 @@ class HarnessConfig:
     ell_rate: float
     lam_shape: float
     lam_rate: float
-    raw: tuple  # canonical (section.key, value) pairs, for fingerprinting
 
     def prior(self, dim: int) -> SgcpPrior:
         try:
@@ -148,8 +157,16 @@ class HarnessConfig:
             raise ConfigError(str(e)) from None
 
     def fingerprint(self) -> str:
-        """Stable 12-hex digest of the canonical key-value listing."""
-        text = "\n".join(f"{k}={v}" for k, v in self.raw)
+        """Stable 12-hex digest of the parsed values of every INI key.
+
+        Each value is written in one canonical form, so spellings that parse
+        to the same configuration (``2`` and ``2.0``, ``25,50`` and ``25, 50``)
+        share a fingerprint.
+        """
+        owners = {"experiment": self.experiment, "chain": self.experiment.chain, "prior": self}
+        pairs = sorted((f"{sec}.{key}", _canonical(getattr(owners[sec], key)))
+                       for sec, keys in _DEFAULTS.items() for key in keys)
+        text = "\n".join(f"{k}={v}" for k, v in pairs)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -180,14 +197,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             raise ConfigError(f"unknown config key {dotted}")
         merged[section][key] = str(value)
 
-    raw = tuple(sorted((f"{sec}.{key}", val.strip())
-                       for sec, vals in merged.items() for key, val in vals.items()))
     try:
         chain = _from_section(ChainConfig, "chain", merged["chain"])
         experiment = _from_section(ExperimentConfig, "experiment", merged["experiment"],
                                    chain=chain)
     except ValueError as e:  # the dataclasses' own checks
         raise ConfigError(str(e)) from None
-    cfg = _from_section(HarnessConfig, "prior", merged["prior"], experiment=experiment, raw=raw)
+    cfg = _from_section(HarnessConfig, "prior", merged["prior"], experiment=experiment)
     cfg.prior(1)  # fail fast on hyperparameters the prior would reject
     return cfg

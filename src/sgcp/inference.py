@@ -29,6 +29,7 @@ guards against incremental drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,10 +265,9 @@ class _Sampler:
         """Joint log density of the current state in whitened coordinates."""
         st = self.state
         ell = math.exp(st.log_ell)
-        lam = math.exp(st.log_lambda_star)
         val = -0.5 * float(st.white @ st.white)
         val += self.prior.ell_prior.log_density(ell) + st.log_ell
-        val += self.prior.lam_prior.log_density(lam) + st.log_lambda_star
+        val += self.prior.lam_prior.log_density_of_log(st.log_lambda_star)
         return val + self._loglik_from(self._suff, st.log_lambda_star)
 
     def scratch_check(self, rtol: float = 1e-8) -> None:
@@ -342,10 +342,18 @@ class _Sampler:
 
     def update_ceiling(self, rng: np.random.Generator) -> None:
         """Exact draw of lam* from Gamma(a + N, rate b + n int s); the cached
-        collapsed target does not depend on lam*."""
+        collapsed target does not depend on lam*.
+
+        Below shape 1 a gamma draw can underflow to 0, so ``log lam*`` is drawn
+        as ``log G(a + 1) + log(U) / a`` (Marsaglia & Tsang 2000).
+        """
         self.proposals["lambda"] += 1
-        rate = self._ceiling_rate(self._suff[1])
-        self.state.log_lambda_star = math.log(rng.gamma(self._post_shape, 1.0 / rate))
+        shape, scale = self._post_shape, 1.0 / self._ceiling_rate(self._suff[1])
+        if shape >= 1.0:
+            log_lam = math.log(rng.gamma(shape, scale))
+        else:
+            log_lam = math.log(rng.gamma(shape + 1.0, scale)) + math.log1p(-rng.random()) / shape
+        self.state.log_lambda_star = log_lam
         self.accepts["lambda"] += 1
 
     def sweep(self, rng: np.random.Generator) -> None:
@@ -374,8 +382,8 @@ def initial_state(prior: SgcpPrior, grid: Grid, patterns: list[PointPattern]) ->
     total = sum(p.n for p in patterns)
     if patterns and total > 0:
         lam0 = 1.5 * total / len(patterns)
-    else:
-        lam0 = prior.lam_prior.median
+    else:  # a shape far below 1 puts the median under the smallest float
+        lam0 = max(prior.lam_prior.median, sys.float_info.min)
     return ModelState(
         white=np.zeros(grid.n_nodes),
         log_ell=math.log(prior.ell_prior.median),

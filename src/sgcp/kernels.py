@@ -10,18 +10,15 @@ Cholesky factor of ``K1 + jitter I`` is a square root of
 made from white noise by ``apply_factor``, d products with ``L1``, so no
 r^d × r^d matrix is ever filled or factored.
 
-Its spectral form, the Fourier transform of an isotropic spectral density
-``mu``::
+Its spectral form, the Fourier transform of the Gaussian spectral density
+``mu`` with per-axis standard deviation sqrt(2)::
 
     k(s,t) = Re  integral  exp(-i <xi, ell (t-s)>) mu(xi) dxi
 
-serves only to check the conditions of the contraction theory: the Gaussian
-spectral family with per-axis standard deviation sqrt(2) reproduces the
-closed form exactly, and the exponential moment of ``mu`` must be finite. A
-heavy-tailed Cauchy family is included to exercise the exponential-moment
-check's divergent branch; it is not kernel-grade (infinite second moment).
-The adaptive quadrature these checks use, ``scipy.integrate``, is imported on
-first use, so the sampler's import path does not load it.
+serves only to check the conditions of the contraction theory: tensorized
+Gauss-Hermite quadrature of that integral reproduces the closed form, and the
+exponential moment ``integral exp(delta ||xi||) mu(d xi)`` the theory needs
+finite is bounded in closed form by ``exponential_moment_log_bound``.
 """
 
 from __future__ import annotations
@@ -39,68 +36,30 @@ MAX_DENSE_NODES = 4096
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 
-# Gauss-Hermite nodes per axis of the Gaussian-family spectral quadrature
+# Gauss-Hermite nodes per axis of the spectral quadrature
 GH_NODES = 80
-# the exponential-moment probe reports divergence once its running total
-# passes MOMENT_TOTAL_CAP or its shells reach MOMENT_MAX_RADIUS
-MOMENT_TOTAL_CAP = 1e12
-MOMENT_MAX_RADIUS = 64.0
 
 
 class FactorizationError(RuntimeError):
     """Covariance factorization failed after maximum jitter escalation."""
 
 
-class QuadratureError(RuntimeError):
-    """Spectral quadrature did not converge."""
-
-
-def _sphere_area(d: int) -> float:
-    # surface area of the unit (d-1)-sphere
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Named isotropic spectral density on R^d.
-
-    ``mass`` is the total mass ``||mu||`` and ``second_moment`` the (possibly
-    infinite) value of E||xi||^2; both are recorded explicitly. Both families
-    have a radial density that decreases in r, so ``a -> mu(a xi)`` is
-    decreasing in a > 0.
-    """
+    """The Gaussian spectral density on R^d, a probability measure with
+    independent axes of standard deviation ``sigma``."""
 
     name: str
     dim: int
-    sigma: float = math.sqrt(2.0)  # gaussian family only: per-axis std
+    sigma: float = math.sqrt(2.0)
 
     def __post_init__(self):
-        if self.name not in ("gaussian", "cauchy"):
+        if self.name != "gaussian":
             raise ValueError(f"unknown spectral density family {self.name!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-
-    @property
-    def mass(self) -> float:
-        return 1.0
-
-    @property
-    def second_moment(self) -> float:
-        if self.name == "gaussian":
-            return self.dim * self.sigma**2
-        return float("inf")  # cauchy: test-only family, not kernel-grade
-
-    def radial(self, r) -> np.ndarray:
-        """Density value at any point with ``||xi|| = r``."""
-        r = np.asarray(r, dtype=np.float64)
-        d = self.dim
-        if self.name == "gaussian":
-            norm = (2.0 * math.pi * self.sigma**2) ** (-d / 2.0)
-            return norm * np.exp(-(r * r) / (2.0 * self.sigma**2))
-        norm = math.gamma((d + 1) / 2.0) / (math.gamma(0.5) * math.pi ** (d / 2.0))
-        return norm * (1.0 + r * r) ** (-(d + 1) / 2.0)
 
 
 @lru_cache(maxsize=8)
@@ -110,41 +69,19 @@ def _hermgauss(n: int):
 
 
 def spectral_characteristic(mu: SpectralDensity, ell: float, lag: np.ndarray) -> complex:
-    """Complex value of ``integral exp(-i <xi, ell*lag>) mu(xi) dxi``.
-
-    Gaussian family: tensorized Gauss-Hermite (spectrally accurate). Other
-    isotropic families: adaptive cosine quadrature, d = 1 only.
-    """
+    """Complex value of ``integral exp(-i <xi, ell*lag>) mu(xi) dxi`` by
+    tensorized Gauss-Hermite quadrature (spectrally accurate)."""
     lag = np.atleast_1d(np.asarray(lag, dtype=np.float64))
     if lag.shape != (mu.dim,):
         raise ValueError(f"lag must have shape ({mu.dim},)")
     a = ell * lag
-    if mu.name == "gaussian":
-        u, w = _hermgauss(GH_NODES)
-        out = complex(1.0, 0.0)
-        for ax in range(mu.dim):
-            phase = -math.sqrt(2.0) * mu.sigma * u * a[ax]
-            s = complex(np.sum(w * np.cos(phase)), np.sum(w * np.sin(phase)))
-            out *= s / math.sqrt(math.pi)
-        return out * mu.mass
-    if mu.dim != 1:
-        raise QuadratureError(
-            "generic spectral quadrature is implemented for d=1 only; "
-            "use the gaussian family for d >= 2"
-        )
-    from scipy import integrate
-
-    # even isotropic density: the transform is real, 2 * int_0^inf mu(r) cos(a r) dr
-    freq = abs(float(a[0]))
-    if freq == 0.0:
-        val, err = integrate.quad(lambda r: mu.radial(r), 0.0, np.inf, limit=200)
-    else:
-        val, err = integrate.quad(
-            lambda r: mu.radial(r), 0.0, np.inf, weight="cos", wvar=freq, limit=200
-        )
-    if not np.isfinite(val) or err > 1e-8:
-        raise QuadratureError(f"spectral quadrature error estimate {err:.2e} too large")
-    return complex(2.0 * val, 0.0)
+    u, w = _hermgauss(GH_NODES)
+    out = complex(1.0, 0.0)
+    for ax in range(mu.dim):
+        phase = -math.sqrt(2.0) * mu.sigma * u * a[ax]
+        s = complex(np.sum(w * np.cos(phase)), np.sum(w * np.sin(phase)))
+        out *= s / math.sqrt(math.pi)
+    return out
 
 
 def spectral_covariance_quadrature(mu: SpectralDensity, ell: float, lag: np.ndarray) -> float:
@@ -237,54 +174,19 @@ def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndar
     return white, apply_factor(L1, white, grid.dim)
 
 
-@dataclass(frozen=True)
-class MomentCheck:
-    """Outcome of the exponential-moment condition probe."""
+def exponential_moment_log_bound(mu: SpectralDensity, delta: float) -> float:
+    """Log of an upper bound on ``integral exp(delta ||xi||) mu(d xi)``, ``delta > 0``.
 
-    converged: bool
-    value: float
-    delta: float
-    shells: int
-
-
-def check_exponential_moment(mu: SpectralDensity, delta: float) -> MomentCheck:
-    """Numerically evaluate ``integral exp(delta ||xi||) mu(d xi)`` for a tilt ``delta > 0``.
-
-    Integrates outward over doubling radial shells; reports divergence when
-    shell contributions stop decaying or the running total passes
-    ``MOMENT_TOTAL_CAP`` (a polynomial tail tilted by any exponential blows
-    through the cap long before floating-point overflow).
+    ``||xi|| <= sum |xi_i|`` and the axes are independent, so the moment is at
+    most ``(E exp(delta |xi_1|))^d = (2 exp(sigma^2 delta^2 / 2) Phi(sigma delta))^d``,
+    with equality at d = 1. Evaluated in log space, with ``2 Phi(x) =
+    erfc(-x / sqrt 2)``, so no finite tilt overflows; a tilt that is not a
+    positive finite number, or whose bound is not finite, raises ``ValueError``.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    from scipy import integrate
-
-    area = _sphere_area(mu.dim)
-
-    def shell(lo: float, hi: float) -> float:
-        val, _ = integrate.quad(
-            lambda r: math.exp(delta * r) * float(mu.radial(r)) * r ** (mu.dim - 1),
-            lo,
-            hi,
-            limit=200,
-        )
-        return area * val
-
-    total = shell(0.0, 1.0)
-    prev = total
-    lo, hi = 1.0, 2.0
-    n_shells = 1
-    while hi <= MOMENT_MAX_RADIUS:
-        contrib = shell(lo, hi)
-        total += contrib
-        n_shells += 1
-        if total > MOMENT_TOTAL_CAP:
-            return MomentCheck(False, float("inf"), delta, n_shells)
-        if contrib < 1e-12 * max(total, 1.0):
-            return MomentCheck(True, total, delta, n_shells)
-        if contrib > 0.5 * prev and n_shells > 3:
-            return MomentCheck(False, float("inf"), delta, n_shells)
-        prev = contrib
-        lo, hi = hi, hi * 2.0
-    # ran out of shells without the contributions dying: treat as divergent
-    return MomentCheck(False, float("inf"), delta, n_shells)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"exponential-moment tilt must be positive and finite, got {delta}")
+    t = mu.sigma * delta
+    log_bound = mu.dim * (0.5 * t * t + math.log(math.erfc(-t / math.sqrt(2.0))))
+    if not math.isfinite(log_bound):
+        raise ValueError(f"exponential-moment tilt {delta} is too large for a finite bound")
+    return log_bound

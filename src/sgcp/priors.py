@@ -109,8 +109,14 @@ class MaxIntensityPriorSpec:
     def log_density(self, lam: float) -> float:
         if lam <= 0.0:
             raise ValueError("intensity ceiling must be positive")
+        log_lam = math.log(lam)
+        return self.log_density_of_log(log_lam) - log_lam
+
+    def log_density_of_log(self, log_lam: float) -> float:
+        """Log density of ``log lam*``, evaluated from ``log lam*`` itself, so a
+        ceiling too small for a float keeps a finite density."""
         a, b = self.shape, self.rate
-        return a * math.log(b) - math.lgamma(a) + (a - 1.0) * math.log(lam) - b * lam
+        return a * math.log(b) - math.lgamma(a) + a * log_lam - b * math.exp(log_lam)
 
     def survival(self, x) -> np.ndarray:
         return _sci_special.gammaincc(self.shape, self.rate * np.asarray(x, dtype=np.float64))

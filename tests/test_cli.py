@@ -125,6 +125,23 @@ class TestFit:
         assert len(rows) - 1 == meta["n_kept"]
         assert all(len(r.split(",")) == 16 for r in rows[1:])
 
+    @pytest.mark.parametrize("lam_shape", ["0.001", "0.0005"])
+    def test_tiny_ceiling_shape_without_points(self, tmp_path, lam_shape):
+        # Gamma(a + N) with a + N far below 1 underflows to 0, and at 0.0005 so
+        # does its median, the chain's start; lam* is kept in log space
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "pattern_0000.csv").write_text("1,resolution-free\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[prior]\nlam_shape = {lam_shape}\n")
+        for seed in range(1, 7):
+            out = tmp_path / f"o{seed}"
+            assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out),
+                         "--n-iter", "200", "--n-burn", "50", "--resolution", "8",
+                         "--seed", str(seed)]) == 0
+            draws = [json.loads(ln) for ln in (out / "chain.jsonl").read_text().splitlines()[1:]]
+            assert all(math.isfinite(d["log_post"]) for d in draws)
+
     def test_missing_patterns_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -280,11 +297,14 @@ BAD_BASELINES = {
     ["calibrate", "--rounds", "10"],
     ["calibrate", "--z-threshold", "-1"],
     ["verify-priors", "--delta", "-1"],
+    ["verify-priors", "--delta", "inf"],
+    ["verify-priors", "--delta", "1e300"],
     ["bench", "--synthetic", "--baseline", "absent.json"],
     ["bench", "--synthetic", "--baseline", "."],
     *(["bench", "--synthetic", "--baseline", name] for name in BAD_BASELINES),
 ], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band",
         "calibrate-few-rounds", "calibrate-z-threshold", "verify-priors-delta",
+        "verify-priors-delta-inf", "verify-priors-delta-huge",
         "bench-baseline-missing", "bench-baseline-directory", "bench-baseline-bad-json",
         "bench-baseline-not-utf8", "bench-baseline-no-slope", "bench-baseline-null-slope",
         "bench-baseline-text-slope"])
@@ -463,9 +483,15 @@ class TestVerifyPriors:
         code = main(["verify-priors", "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
-        assert text.count("PASS") == 5
+        assert text.count("PASS") == 4
         blob = json.loads((out / "verify.json").read_text())
         assert all(c["passed"] for c in blob["checks"])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_moment_check_passes_at_large_tilt(self, dim, capsys):
+        # the Gaussian spectral measure has every exponential moment
+        assert main(["verify-priors", "--delta", "2", "--dim", str(dim)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def _src_env():
@@ -494,12 +520,20 @@ def test_console_script_help():
     _assert_help([sys.executable, "-c", wrapper, "--help"], _src_env())
 
 
-def test_import_skips_scipy_stats_and_integrate():
+def _modules_loaded_by(statement, modules):
     # a fresh interpreter: pytest has already imported scipy.stats in this one
-    probe = ("import sys, sgcp, sgcp.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'multiprocessing') "
-             "if m in sys.modules))")
+    probe = (f"import sys, sgcp, sgcp.cli; {statement}; "
+             f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                        env=_src_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    return r.stdout.strip().splitlines()[-1]
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    assert _modules_loaded_by(
+        "pass", ("scipy.stats", "scipy.integrate", "multiprocessing")) == "[]"
+
+
+def test_verify_priors_skips_scipy_integrate():
+    assert _modules_loaded_by("sgcp.cli.main(['verify-priors'])", ("scipy.integrate",)) == "[]"

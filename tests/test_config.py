@@ -32,6 +32,19 @@ def test_default_fingerprint_is_stable():
     assert load_config().fingerprint() == "b380b97fdbf3"
 
 
+def test_fingerprint_hashes_parsed_values(tmp_path):
+    # README's block spells ns without spaces; 2 and 2.0 are the same shape
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    default = load_config().fingerprint()
+    assert load_config(str(path)).fingerprint() == default
+    for shape in ("2", "2.0", " 2.00"):
+        assert load_config(overrides={"prior.lam_shape": shape}).fingerprint() == default
+    assert load_config(overrides={"prior.lam_shape": "3"}).fingerprint() != default
+
+
 def test_values_parsed_as_field_types():
     cfg = load_config(overrides={"experiment.ns": " 3, 7 ,11 ", "experiment.resolution": "16",
                                  "chain.step_log_ell": "0.5", "prior.ell_shape": "3"})

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from sgcp import (ChainConfig, Grid, IntensityField, ModelState, NumericalError, PointPattern,
-                  SgcpPrior, effective_sample_size, geweke_joint_test,
-                  initial_state, log_likelihood, rng_for, run_chain)
+from sgcp import (ChainConfig, Grid, IntensityField, MaxIntensityPriorSpec, ModelState,
+                  NumericalError, PointPattern, SgcpPrior, effective_sample_size,
+                  geweke_joint_test, initial_state, log_likelihood, rng_for, run_chain)
 import sgcp.inference
 from sgcp._accel import sigmoid
 from sgcp.inference import _Sampler, cov_matrix
@@ -180,6 +180,31 @@ class TestCollapsedCeiling:
         # independent draws: every call moves lam*, where a random walk would stay put
         assert np.unique(draws).size == draws.size
         assert s.accepts["lambda"] == s.proposals["lambda"] == draws.size
+
+    @staticmethod
+    def _log_ceiling_draws(shape, n_draws):
+        # no points, so the posterior shape a + N is the prior shape
+        prior = SgcpPrior(dim=1, lam_prior=MaxIntensityPriorSpec(shape=shape))
+        s = _Sampler(prior, Grid(1, 9), ChainConfig(n_iter=10, n_burn=1, resolution=9))
+        s.set_data([PointPattern(1, np.empty((0, 1)))])
+        s.set_state(ModelState(rng_for(25).standard_normal(9), 0.0, 0.0))
+        rng = rng_for(26)
+        draws = np.empty(n_draws)
+        for i in range(n_draws):
+            s.update_ceiling(rng)
+            draws[i] = s.state.log_lambda_star
+        return draws, prior.lam_prior.rate + s.integral_of_link
+
+    def test_small_shape_ceiling_draws_are_exact_gamma(self):
+        draws, rate = self._log_ceiling_draws(0.5, 2000)
+        gamma = stats.gamma(0.5, scale=1.0 / rate)
+        assert stats.kstest(draws, lambda x: gamma.cdf(np.exp(x))).pvalue > 0.01
+
+    def test_tiny_shape_ceiling_stays_finite_in_log_space(self):
+        # Gamma(0.001) puts about half its mass below the smallest float
+        draws, _ = self._log_ceiling_draws(0.001, 200)
+        assert np.all(np.isfinite(draws))
+        assert np.any(np.exp(draws) == 0.0)
 
     def test_sweep_draws_ceiling_last(self, monkeypatch):
         calls = []
@@ -354,6 +379,14 @@ class TestGeweke:
                                 n_rounds=10000, sweeps_per_round=5)
         assert not res.diverged
         assert res.max_abs_z < 4.0
+
+    def test_clean_sampler_calibrates_small_ceiling_shape(self):
+        # a + N < 1 in every round that simulates no points
+        prior = SgcpPrior(dim=1, lam_prior=MaxIntensityPriorSpec(shape=0.5))
+        res = geweke_joint_test(prior, Grid(1, 8), rng_for(55, 7),
+                                n_rounds=4000, sweeps_per_round=4)
+        assert not res.diverged
+        assert res.max_abs_z < 5.0
 
     def test_corrupted_likelihood_detected(self):
         res = geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(55, 7),
