@@ -24,12 +24,12 @@ from .kernels import (FactorizationError, SpectralDensity, chol_with_jitter, cov
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, PointPattern,
                             integrate_field, log_likelihood, read_field_csv,
-                            read_pattern_csv, simulate_thinning, write_field_csv,
-                            write_pattern_csv)
+                            read_pattern_csv, simulate_thinning, simulate_thinning_batch,
+                            write_field_csv, write_pattern_csv)
 from .priors import (LOGISTIC_SQRT_LIPSCHITZ, LengthScalePriorSpec, LengthScaleTailBounds,
                      MaxIntensityPriorSpec, SgcpPrior, SmallBallEstimate, ValidationResult,
                      default_length_scale_bounds, estimate_sqrt_link_lipschitz,
-                     prior_small_ball_probability, sample_prior_intensity,
+                     prior_small_ball_probability, sample_prior_batch, sample_prior_intensity,
                      validate_length_scale_tail, validate_max_intensity_tail,
                      w0_from_truth)
 from .truths import TRUTHS, TruthSpec, get_truth

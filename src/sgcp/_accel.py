@@ -60,7 +60,7 @@ def interp_apply(values: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> 
     flat, w = stencil
     corners = values.take(flat)
     corners *= w
-    return corners.sum(axis=0)
+    return np.add.reduce(corners, axis=0)
 
 
 def interp_multilinear(
@@ -89,9 +89,9 @@ def sgcp_suffstats(
     if stencil[0].shape[1] == 0:
         return 0.0, int_s
     sv = interp_apply(s, stencil)
-    if not sv.min() > 0.0:
+    if not np.minimum.reduce(sv) > 0.0:
         return -math.inf, int_s
-    return float(np.log(sv).sum()), int_s
+    return float(np.add.reduce(np.log(sv, out=sv))), int_s
 
 
 @lru_cache(maxsize=32)

@@ -81,8 +81,9 @@ def _write_draws_csv(chain: PosteriorChain, path, meta: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         _write_meta(fh, meta)
         fh.write(f"{chain.grid.dim},{chain.grid.resolution}\n")
+        row_fmt = ",".join([FLOAT_FMT] * chain.grid.n_nodes) + "\n"
         for row in chain.intensity:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 # -- subcommands ---------------------------------------------------------

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
-from .kernels import MAX_DENSE_NODES, apply_factor, chol_with_jitter, cov_matrix
-from .point_process import Grid, IntensityField, PointPattern, integrate_field, simulate_thinning
-from .priors import SgcpPrior, sample_prior_intensity
+from .kernels import MAX_DENSE_NODES, apply_factor, axis_nodes, chol_with_jitter, cov_matrix
+from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
+                            simulate_thinning_batch)
+from .priors import SgcpPrior, sample_prior_batch, sample_prior_intensity
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,6 +53,10 @@ N_BATCHES = 32
 MIN_ROUNDS = 2 * N_BATCHES
 # a chained ceiling above this reports the calibration run as diverged
 LAMBDA_CAP = 1e5
+# the calibration's forward rounds are drawn in blocks of at most this many
+# field values (and at least one round), so memory does not grow with rounds;
+# at 2^12 a block's arrays stay below the (n_rounds, 6) statistics of 4000 rounds
+FORWARD_BLOCK_VALUES = 1 << 12
 # burn-in adapts the ell step toward this acceptance rate
 ADAPT_TARGET = 0.3
 
@@ -173,7 +178,7 @@ class _Sampler:
         self.grid = grid
         self.config = config
         self.mutate = mutate_drop_integral
-        self.axis_nodes = Grid(1, grid.resolution).nodes()
+        self.axis_nodes = axis_nodes(grid.resolution)
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = config.step_log_ell
         self.points = np.empty((0, grid.dim))
@@ -184,6 +189,7 @@ class _Sampler:
         self.state: ModelState | None = None
         self._L = None
         self._g = None
+        self._log_prior_ell = 0.0  # ell's prior log density at the current state
         self._suff = (0.0, 0.0)
         self._loglik = 0.0
         self.accepts = {"ell": 0, "lambda": 0}
@@ -209,7 +215,9 @@ class _Sampler:
 
     def set_state(self, state: ModelState) -> None:
         self.state = state
-        self._L = self._factor(math.exp(state.log_ell))
+        ell = math.exp(state.log_ell)
+        self._log_prior_ell = self.prior.ell_prior.log_density(ell)
+        self._L = self._factor(ell)
         self._g = apply_factor(self._L, state.white, self.grid.dim)
         self._refresh_likelihood()
 
@@ -319,20 +327,21 @@ class _Sampler:
         self.proposals["ell"] += 1
         log_ell_prop = st.log_ell + self.step_log_ell * rng.standard_normal()
         ell_prop = math.exp(log_ell_prop)
-        ell_cur = math.exp(st.log_ell)
         L_prop = self._factor(ell_prop)
         g_prop = apply_factor(L_prop, st.white, self.grid.dim)
         suff_prop = self._suffstats(g_prop)
         ll_prop = self._target_from(suff_prop)
+        log_prior_prop = self.prior.ell_prior.log_density(ell_prop)
         log_alpha = (
             ll_prop - self._loglik
-            + self.prior.ell_prior.log_density(ell_prop)
-            - self.prior.ell_prior.log_density(ell_cur)
+            + log_prior_prop
+            - self._log_prior_ell
             + log_ell_prop - st.log_ell
         )
         alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
         if rng.random() < alpha:
             st.log_ell = log_ell_prop
+            self._log_prior_ell = log_prior_prop
             self._L = L_prop
             self._g = g_prop
             self._suff = suff_prop
@@ -479,6 +488,37 @@ def _batch_means_se(x: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(N_BATCHES))
 
 
+def _forward_stats(prior: SgcpPrior, grid: Grid, rng: np.random.Generator,
+                   n_rounds: int) -> np.ndarray:
+    """The calibration's forward side: ``n_rounds`` independent (theta, data)
+    draws, reduced to their ``_GEWEKE_STATS`` rows.
+
+    Rounds are drawn in blocks of at most ``FORWARD_BLOCK_VALUES`` field
+    values: the block's prior draws (``sample_prior_batch``), then its
+    thinning (``simulate_thinning_batch``). Only the ``(n_rounds, 6)``
+    statistics grow with the number of rounds.
+    """
+    out = np.empty((n_rounds, len(_GEWEKE_STATS)))
+    weights = trapezoid_weights(grid.dim, grid.resolution)
+    block = max(1, FORWARD_BLOCK_VALUES // grid.n_nodes)
+    for start in range(0, n_rounds, block):
+        m = min(block, n_rounds - start)
+        draw = sample_prior_batch(prior, grid, rng, m)
+        lam_star = draw["lambda_star"]
+        intensity = sigmoid(draw["latent"])
+        intensity *= lam_star[:, None]
+        _, counts = simulate_thinning_batch(lam_star, intensity, grid, rng)
+        counts = counts.astype(np.float64)
+        rows = out[start:start + m]
+        rows[:, 0] = lam_star
+        rows[:, 1] = lam_star * lam_star
+        rows[:, 2] = draw["ell"]
+        rows[:, 3] = intensity @ weights
+        rows[:, 4] = counts
+        rows[:, 5] = counts * counts
+    return out
+
+
 def _stat_row(lam_star: float, ell: float, mean_intensity: float, count: int) -> tuple:
     return (lam_star, lam_star * lam_star, ell, mean_intensity,
             float(count), float(count * count))
@@ -495,9 +535,10 @@ def geweke_joint_test(
     """Joint distribution check of the sampler against the generative model.
 
     Forward side: independent (theta, data) draws from the prior and the
-    thinning simulator. Chained side: a Markov chain alternating data-given-
-    state simulation with posterior sweeps, whose marginal must also be the
-    prior if (and in practice only if) the transition kernel is correct.
+    thinning simulator, in blocks (``_forward_stats``). Chained side: a
+    Markov chain alternating data-given-state simulation with posterior
+    sweeps, whose marginal must also be the prior if (and in practice only
+    if) the transition kernel is correct.
     z-scores compare the two sides per statistic; the chained side uses
     batch-means standard errors, so at least ``MIN_ROUNDS`` rounds are
     required. A ceiling excursion above ``LAMBDA_CAP`` reports divergence
@@ -509,12 +550,7 @@ def geweke_joint_test(
     config = ChainConfig(resolution=grid.resolution)
     sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
 
-    forward = np.empty((n_rounds, len(_GEWEKE_STATS)))
-    for i in range(n_rounds):
-        field, latents = sample_prior_intensity(prior, grid, rng)
-        pattern = simulate_thinning(latents["lambda_star"], field, rng)
-        forward[i] = _stat_row(latents["lambda_star"], latents["ell"],
-                               integrate_field(field), pattern.n)
+    forward = _forward_stats(prior, grid, rng, n_rounds)
 
     chained = np.empty((n_rounds, len(_GEWEKE_STATS)))
     _, latents = sample_prior_intensity(prior, grid, rng)

@@ -102,37 +102,52 @@ def kernel_eval(ell: float, s, t) -> float:
     return math.exp(-ell**2 * h2)
 
 
-def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs.
-
-    The squared distances are summed from per-axis differences, so the matrix
-    is exactly symmetric with an exact unit diagonal and no cancellation.
+@lru_cache(maxsize=8)
+def _sq_dists(shape: tuple, data: bytes) -> np.ndarray:
+    """Read-only squared distances ``||s-t||^2`` between the rows of the
+    points with this shape and float64 content, summed from per-axis
+    differences. The cached matrix is the size of ``K``, n×n doubles for n
+    points, so the cache holds at most 8 of them.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.frombuffer(data).reshape(shape)
     d2 = None
     for axis in points.T:
         diff = np.subtract.outer(axis, axis)
         d2 = diff * diff if d2 is None else d2 + diff * diff
-    d2 *= -(ell * ell)
-    return np.exp(d2, out=d2)
+    d2.setflags(write=False)
+    return d2
+
+
+def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
+    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs.
+
+    The squared distances are summed from per-axis differences, so the matrix
+    is exactly symmetric with an exact unit diagonal and no cancellation. They
+    depend only on the points and are cached by their content, so a call on
+    points seen before is one multiply and one ``exp`` into a fresh matrix.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    K = _sq_dists(points.shape, points.tobytes()) * -(ell * ell)
+    return np.exp(K, out=K)
 
 
 def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with an escalating diagonal jitter.
 
-    Starts at 1e-10 and multiplies by 10 up to 1e-6; squared-exponential Gram
-    matrices are ill-conditioned enough that a bare factorization is not
-    attempted. Each level adds the jitter to the diagonal of a Fortran-ordered
-    copy of ``K`` and factors it in place with LAPACK ``dpotrf``. Returns the
-    factor and the jitter it needed; raises FactorizationError if every level
-    fails.
+    ``K`` must be exactly symmetric, as ``cov_matrix`` fills it. Starts at
+    1e-10 and multiplies by 10 up to 1e-6; squared-exponential Gram matrices
+    are ill-conditioned enough that a bare factorization is not attempted.
+    Each level adds the jitter to the diagonal of a C-ordered copy of ``K``,
+    whose transpose is, by symmetry, the Fortran-ordered ``K`` that LAPACK
+    ``dpotrf`` factors in place. Returns the factor and the jitter it needed;
+    raises FactorizationError if every level fails.
     """
     m = K.shape[0]
     jitter = JITTER_START
     while jitter <= JITTER_MAX * (1.0 + 1e-12):
-        A = np.array(K, dtype=np.float64, order="F")
-        A.flat[::m + 1] += jitter
-        L, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+        A = np.array(K, dtype=np.float64, order="C")
+        A.reshape(-1)[::m + 1] += jitter
+        L, info = _lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -158,20 +173,38 @@ def apply_factor(L1: np.ndarray, white: np.ndarray, dim: int) -> np.ndarray:
     return x.ravel()
 
 
-def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-mean GP draw on the grid through the Kronecker factor.
+@lru_cache(maxsize=8)
+def axis_nodes(resolution: int) -> np.ndarray:
+    """Read-only node coordinates of one grid axis, shape ``(resolution, 1)``."""
+    nodes = Grid(1, resolution).nodes()
+    nodes.setflags(write=False)
+    return nodes
 
-    Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
-    the field ``g = (L1 ⊗ ... ⊗ L1) @ white`` at the grid nodes, ``L1`` the
-    Cholesky factor of the covariance on one axis.
-    """
+
+def check_gp_grid(grid: Grid) -> None:
+    """Refuse a grid above ``MAX_DENSE_NODES`` nodes before any noise is drawn."""
     if grid.n_nodes > MAX_DENSE_NODES:
         raise ValueError(
             f"grid has {grid.n_nodes} nodes; GP draws are guarded at {MAX_DENSE_NODES}"
         )
-    L1, _ = chol_with_jitter(cov_matrix(ell, Grid(1, grid.resolution).nodes()))
+
+
+def gp_field(ell: float, grid: Grid, white: np.ndarray) -> np.ndarray:
+    """The prior field ``g = (L1 ⊗ ... ⊗ L1) @ white`` at the grid nodes,
+    ``L1`` the Cholesky factor of the covariance on one axis."""
+    L1, _ = chol_with_jitter(cov_matrix(ell, axis_nodes(grid.resolution)))
+    return apply_factor(L1, white, grid.dim)
+
+
+def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-mean GP draw on the grid through the Kronecker factor.
+
+    Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
+    the field ``gp_field(ell, grid, white)``.
+    """
+    check_gp_grid(grid)
     white = rng.standard_normal(grid.n_nodes)
-    return white, apply_factor(L1, white, grid.dim)
+    return white, gp_field(ell, grid, white)
 
 
 def exponential_moment_log_bound(mu: SpectralDensity, delta: float) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accel import interp_multilinear, trapezoid_weights
+from ._accel import interp_apply, interp_multilinear, interp_stencil, trapezoid_weights
 
 PATTERN_HEADER_TAG = "resolution-free"
 
@@ -134,6 +134,43 @@ class IntensityField:
         return interp_multilinear(self.values, self.dim, self.resolution, pts)
 
 
+def simulate_thinning_batch(
+    lambda_star: np.ndarray, values: np.ndarray, grid: Grid, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lewis–Shedler thinning of independent rounds, all at once.
+
+    Round ``i`` thins a homogeneous candidate process of rate
+    ``lambda_star[i]`` on [0,1]^d: each candidate survives with probability
+    ``field_i(s)/lambda_star[i]``, ``field_i`` being the intensity with grid
+    values ``values[i]`` (flat C order) interpolated off-grid. Exactness
+    requires ``lambda_star[i] >= max(values[i])``.
+
+    The draws come from ``rng`` in a fixed order: every round's candidate
+    count, every candidate's coordinates, then every candidate's acceptance
+    uniform. Returns ``(points, counts)``: the surviving points of all rounds,
+    round by round, and how many each round kept.
+    """
+    lambda_star = np.asarray(lambda_star, dtype=np.float64)
+    ceilings = lambda_star.tolist()
+    for lam, peak in zip(ceilings, np.maximum.reduce(values, axis=1).tolist()):
+        if not lam > 0.0:
+            raise ValueError("lambda_star must be positive")
+        if lam < peak:
+            raise ValueError(f"thinning bound violated: lambda_star={lam} < max(field)={peak}")
+    n = len(ceilings)
+    # scalar draws: the same stream as an array draw, without its fixed cost
+    n_cand = [rng.poisson(lam) for lam in ceilings]
+    candidates = rng.random((sum(n_cand), grid.dim))
+    if candidates.shape[0] == 0:
+        return candidates, np.zeros(n, dtype=np.int64)
+    rounds = np.repeat(np.arange(n), n_cand)
+    flat, w = interp_stencil(grid.dim, grid.resolution, candidates)
+    flat += rounds * grid.n_nodes  # offsets into the stacked rounds' values
+    lam_at = interp_apply(values.reshape(-1), (flat, w))
+    keep = rng.random(candidates.shape[0]) * lambda_star[rounds] < lam_at
+    return candidates[keep], np.bincount(rounds[keep], minlength=n)
+
+
 def simulate_thinning(
     lambda_star: float, field: IntensityField, rng: np.random.Generator
 ) -> PointPattern:
@@ -141,7 +178,8 @@ def simulate_thinning(
 
     A homogeneous candidate process of rate ``lambda_star`` on [0,1]^d is
     thinned: each candidate survives with probability ``field(s)/lambda_star``.
-    Exactness requires ``lambda_star >= max(field)``.
+    Exactness requires ``lambda_star >= max(field)``. A batch of one of
+    ``simulate_thinning_batch``.
 
     Parameters
     ----------
@@ -152,19 +190,9 @@ def simulate_thinning(
     rng : np.random.Generator
         Seeded random source; the draw is deterministic given its state.
     """
-    if lambda_star <= 0.0:
-        raise ValueError("lambda_star must be positive")
-    if lambda_star < field.max():
-        raise ValueError(
-            f"thinning bound violated: lambda_star={lambda_star} < max(field)={field.max()}"
-        )
-    n_cand = rng.poisson(lambda_star)
-    candidates = rng.random((n_cand, field.dim))
-    if n_cand == 0:
-        return PointPattern(field.dim, candidates)
-    lam = field.at(candidates)
-    keep = rng.random(n_cand) * lambda_star < lam
-    return PointPattern(field.dim, candidates[keep])
+    points, _ = simulate_thinning_batch(
+        np.array([lambda_star], dtype=np.float64), field.values[None, :], field.grid, rng)
+    return PointPattern(field.dim, points)
 
 
 def integrate_field(field: IntensityField) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as _sci_special
 
 from ._accel import sigmoid
-from .kernels import sample_gp
+from .kernels import check_gp_grid, gp_field
 from .point_process import Grid, IntensityField
 
 # sup_x |d/dx sqrt(sigmoid(x))|, attained where sigmoid(x) = 1/3
@@ -86,8 +86,14 @@ class LengthScalePriorSpec:
                 + (d * a - 1.0) * math.log(ell) - b * ell**d)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        """Draws of ell: d-th roots of gamma draws. Each root is a float
+        ``**``, as for a single draw, so a batch equals as many single draws
+        bit for bit (numpy's array power can differ in the last place)."""
         y = rng.gamma(self.shape, 1.0 / self.rate, size=size)
-        return y ** (1.0 / self.dim)
+        root = 1.0 / self.dim
+        if size is None:
+            return y ** root
+        return np.array([v ** root for v in y.ravel().tolist()]).reshape(y.shape)
 
     @property
     def median(self) -> float:
@@ -245,22 +251,44 @@ class SgcpPrior:
             raise ValueError("length-scale prior dimension does not match")
 
 
+def sample_prior_batch(
+    prior: SgcpPrior, grid: Grid, rng: np.random.Generator, n: int
+) -> dict:
+    """``n`` independent draws of (ell, lam*, g), as arrays.
+
+    The draws come from ``rng`` in a fixed order: all ``n`` values of ``ell``,
+    all of ``lam*``, then the white noise ``white``, one row per draw, with
+    ``g = L(ell) @ white`` formed row by row. The returned dict holds all four
+    under ``ell``, ``lambda_star`` (shape ``(n,)``), ``white`` and ``latent``
+    (shape ``(n, n_nodes)``).
+    """
+    if grid.dim != prior.dim:
+        raise ValueError("grid dimension does not match the prior")
+    check_gp_grid(grid)
+    ell = prior.ell_prior.sample(rng, size=n)
+    lam_star = prior.lam_prior.sample(rng, size=n)
+    white = rng.standard_normal((n, grid.n_nodes))
+    g = np.empty_like(white)
+    for i, ell_i in enumerate(ell.tolist()):
+        g[i] = gp_field(ell_i, grid, white[i])
+    return {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
+
+
 def sample_prior_intensity(
     prior: SgcpPrior, grid: Grid, rng: np.random.Generator
 ) -> tuple[IntensityField, dict]:
     """One draw of (ell, lam*, g) pushed through the sigmoid to an intensity field.
 
-    The draws come from ``rng`` in a fixed order: ``ell``, ``lam*``, then the
-    white noise ``white`` with ``g = L(ell) @ white``. The returned dict holds
-    all four.
+    A batch of one of ``sample_prior_batch``, so the draws come from ``rng``
+    in the order ``ell``, ``lam*``, white noise. The returned dict holds all
+    four, ``ell`` and ``lambda_star`` as floats.
     """
-    if grid.dim != prior.dim:
-        raise ValueError("grid dimension does not match the prior")
-    ell = float(prior.ell_prior.sample(rng))
-    lam_star = float(prior.lam_prior.sample(rng))
-    white, g = sample_gp(ell, grid, rng)
+    draw = sample_prior_batch(prior, grid, rng, 1)
+    ell = float(draw["ell"][0])
+    lam_star = float(draw["lambda_star"][0])
+    g = draw["latent"][0]
     field = IntensityField(grid, lam_star * sigmoid(g))
-    return field, {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
+    return field, {"ell": ell, "lambda_star": lam_star, "white": draw["white"][0], "latent": g}
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from scipy import integrate, stats
 
 from sgcp import (ChainConfig, Grid, IntensityField, MaxIntensityPriorSpec, ModelState,
                   NumericalError, PointPattern, SgcpPrior, effective_sample_size,
-                  geweke_joint_test, initial_state, log_likelihood, rng_for, run_chain)
+                  geweke_joint_test, initial_state, integrate_field, log_likelihood, rng_for,
+                  run_chain, sample_prior_intensity, simulate_thinning)
 import sgcp.inference
 from sgcp._accel import sigmoid
-from sgcp.inference import _Sampler, cov_matrix
+from sgcp.inference import _GEWEKE_STATS, _Sampler, _forward_stats, cov_matrix
 from sgcp.kernels import apply_factor
 
 
@@ -387,6 +388,48 @@ class TestGeweke:
                                 n_rounds=4000, sweeps_per_round=4)
         assert not res.diverged
         assert res.max_abs_z < 5.0
+
+    def test_forward_blocks_match_sequential_single_draws(self):
+        # two-sample KS of the block-drawn forward side against 4000 rounds of
+        # one prior draw and one thinning each
+        prior, grid = SgcpPrior(dim=1), Grid(1, 8)
+        blocks = _forward_stats(prior, grid, rng_for(57, 1), 4000)
+        rng = rng_for(57, 2)
+        single = np.empty((4000, 4))
+        for i in range(4000):
+            field, latents = sample_prior_intensity(prior, grid, rng)
+            pattern = simulate_thinning(latents["lambda_star"], field, rng)
+            single[i] = (latents["lambda_star"], latents["ell"], integrate_field(field), pattern.n)
+        for j, col in enumerate((0, 2, 3, 4)):
+            p = stats.ks_2samp(blocks[:, col], single[:, j], method="asymp").pvalue
+            assert p > 0.01, (_GEWEKE_STATS[col], p)
+
+    def test_forward_rounds_not_a_multiple_of_the_block(self, monkeypatch):
+        prior, grid = SgcpPrior(dim=1), Grid(1, 8)
+        monkeypatch.setattr(sgcp.inference, "FORWARD_BLOCK_VALUES", 7 * grid.n_nodes)
+        whole = _forward_stats(prior, grid, rng_for(58), 17)  # blocks of 7, 7 and 3
+        assert whole.shape == (17, len(_GEWEKE_STATS))
+        # the first block's rows do not depend on how many rounds follow it
+        np.testing.assert_array_equal(whole[:7], _forward_stats(prior, grid, rng_for(58), 7))
+        lam, ell, integral, count = whole[:, 0], whole[:, 2], whole[:, 3], whole[:, 4]
+        assert np.all(lam > 0.0) and np.all(ell > 0.0)
+        assert np.all((integral > 0.0) & (integral < lam))
+        np.testing.assert_array_equal(whole[:, 1], lam * lam)
+        np.testing.assert_array_equal(count, np.round(count))
+        np.testing.assert_array_equal(whole[:, 5], count * count)
+
+    def test_forward_memory_does_not_grow_with_rounds(self):
+        import tracemalloc
+        prior, grid = SgcpPrior(dim=1), Grid(1, 16)
+        peaks = {}
+        for n in (2048, 8192):
+            _forward_stats(prior, grid, rng_for(59), 64)  # caches warm
+            tracemalloc.start()
+            _forward_stats(prior, grid, rng_for(59), n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        stats_bytes = 8 * len(_GEWEKE_STATS) * (8192 - 2048)
+        assert peaks[8192] - peaks[2048] < stats_bytes + 64 * 1024
 
     def test_corrupted_likelihood_detected(self):
         res = geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(55, 7),

@@ -13,6 +13,24 @@ from sgcp import (FactorizationError, Grid, SpectralDensity, chol_with_jitter, c
 from sgcp.kernels import apply_factor
 
 
+def _reference_factor(ell, points):
+    """The squared-exponential fill and jittered factor written out longhand:
+    per-axis distances summed, scaled in place, then a Fortran-order copy
+    with 1e-10 on its diagonal factored by LAPACK dpotrf."""
+    from scipy.linalg import lapack
+    d2 = None
+    for axis in np.asarray(points, dtype=np.float64).T:
+        diff = np.subtract.outer(axis, axis)
+        d2 = diff * diff if d2 is None else d2 + diff * diff
+    d2 *= -(ell * ell)
+    K = np.exp(d2, out=d2)
+    A = np.array(K, dtype=np.float64, order="F")
+    A.flat[::K.shape[0] + 1] += 1e-10
+    L, info = lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    return K, L
+
+
 class TestClosedForm:
     def test_values(self):
         # exp(-ell^2 h^2) computed by hand
@@ -165,6 +183,51 @@ class TestFactorizationAndSampling:
         white_b, b = sample_gp(1.0, Grid(1, 9), rng_for(33))
         np.testing.assert_array_equal(white_a, white_b)
         np.testing.assert_array_equal(a, b)
+
+
+class TestFactorPath:
+    @pytest.mark.parametrize("r", [3, 16, 64])
+    @pytest.mark.parametrize("ell", [0.3, 1.0, 2.7, 9.5])
+    def test_bitwise_equal_to_reference_factor(self, r, ell):
+        nodes = Grid(1, r).nodes()
+        K_ref, L_ref = _reference_factor(ell, nodes)
+        for _ in range(2):  # the second call reads the cached distances
+            K = cov_matrix(ell, nodes)
+            L, jitter = chol_with_jitter(K)
+            assert K.tobytes() == K_ref.tobytes()
+            assert jitter == 1e-10
+            assert L.flags.f_contiguous
+            assert L.tobytes() == L_ref.tobytes()
+
+    def test_point_sets_of_one_shape_keep_their_own_matrix(self):
+        rng = rng_for(43)
+        a, b = rng.random((7, 2)), rng.random((7, 2))
+        Ka, Kb = cov_matrix(1.6, a), cov_matrix(1.6, b)
+        for pts, K in ((a, Ka), (b, Kb)):
+            want = np.array([[kernel_eval(1.6, s, t) for t in pts] for s in pts])
+            np.testing.assert_allclose(K, want, rtol=1e-12, atol=0.0)
+        assert not np.array_equal(Ka, Kb)
+
+    def test_writing_into_a_returned_matrix_changes_nothing_later(self):
+        nodes = Grid(1, 12).nodes()
+        first = cov_matrix(0.9, nodes)
+        want = first.copy()
+        first[...] = -1.0
+        np.testing.assert_array_equal(cov_matrix(0.9, nodes), want)
+        L, _ = chol_with_jitter(want)
+        L[...] = 0.0
+        assert chol_with_jitter(want)[0].tobytes() == _reference_factor(0.9, nodes)[1].tobytes()
+
+    def test_singular_matrix_still_escalates(self):
+        # duplicate points make K singular; pushing its zero eigenvalue to
+        # -5e-9 leaves 1e-10 and 1e-9 indefinite, so the factor needs 1e-8
+        K = cov_matrix(1.0, np.array([[0.2], [0.2], [0.7], [0.7], [0.9]]))
+        K.flat[::6] -= 5e-9
+        L, jitter = chol_with_jitter(K)
+        assert jitter == pytest.approx(1e-8, rel=1e-12)
+        np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(5), rtol=0.0, atol=1e-14)
+        with pytest.raises(FactorizationError):
+            chol_with_jitter(-np.eye(3))
 
 
 def _axis_factor(ell, r):

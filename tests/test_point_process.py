@@ -7,7 +7,9 @@ import pytest
 
 from sgcp import (DataError, Grid, IntensityField, PointPattern, integrate_field,
                   log_likelihood, read_field_csv, read_pattern_csv, rng_for,
-                  simulate_thinning, write_field_csv, write_pattern_csv)
+                  simulate_thinning, simulate_thinning_batch, write_field_csv,
+                  write_pattern_csv)
+from sgcp._accel import interp_multilinear
 
 
 class TestGrid:
@@ -145,6 +147,40 @@ class TestThinning:
         field = IntensityField(Grid(1, 3), np.full(3, 1e-6))
         pat = simulate_thinning(1e-6, field, rng_for(3))
         assert pat.n == 0
+
+    @pytest.mark.parametrize("dim, resolution, ceiling", [(1, 9, 3.0), (1, 64, 40.0), (2, 5, 25.0)])
+    def test_single_call_is_the_sequential_algorithm_bit_for_bit(self, dim, resolution, ceiling):
+        grid = Grid(dim, resolution)
+        vals = ceiling * rng_for(5, dim).random(grid.n_nodes)
+        field = IntensityField(grid, vals)
+        rng, ref = rng_for(6, dim, resolution), rng_for(6, dim, resolution)
+        for _ in range(40):
+            pattern = simulate_thinning(ceiling, field, rng)
+            n_cand = ref.poisson(ceiling)
+            candidates = ref.random((n_cand, dim))
+            if n_cand:
+                lam = interp_multilinear(vals, dim, resolution, candidates)
+                candidates = candidates[ref.random(n_cand) * ceiling < lam]
+            assert pattern.points.tobytes() == candidates.tobytes()
+        assert rng.random() == ref.random()
+
+    def test_batch_routes_each_round_to_its_own_field(self):
+        # round 0 vanishes on [0, 1/2], round 1 on [1/2, 1]
+        grid = Grid(1, 3)
+        values = np.array([[0.0, 0.0, 10.0], [10.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        points, counts = simulate_thinning_batch(np.full(3, 10.0), values, grid, rng_for(8))
+        assert counts.tolist()[2] == 0 and counts.sum() == points.shape[0]
+        assert counts[0] > 0 and counts[1] > 0
+        assert np.all(points[:counts[0], 0] > 0.5)
+        assert np.all(points[counts[0]:, 0] < 0.5)
+
+    def test_batch_checks_every_round(self):
+        grid = Grid(1, 3)
+        values = np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0]])
+        with pytest.raises(ValueError, match="lambda_star=4.0"):
+            simulate_thinning_batch(np.array([4.0, 4.0]), values, grid, rng_for(0))
+        with pytest.raises(ValueError):
+            simulate_thinning_batch(np.array([5.0, 0.0]), values, grid, rng_for(0))
 
 
 class TestLogLikelihood:

@@ -10,9 +10,10 @@ from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, IntensityField, LengthScalePrio
                   LengthScaleTailBounds, MaxIntensityPriorSpec, SgcpPrior,
                   default_length_scale_bounds, estimate_sqrt_link_lipschitz,
                   get_truth, prior_small_ball_probability, rng_for,
-                  sample_prior_intensity, validate_length_scale_tail,
+                  sample_prior_batch, sample_prior_intensity, validate_length_scale_tail,
                   validate_max_intensity_tail, w0_from_truth)
 from sgcp._accel import sigmoid
+from sgcp.kernels import gp_field
 
 # (shape, rate) pairs at which the gamma medians are compared with scipy.stats
 GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3, 0.7),
@@ -191,6 +192,52 @@ class TestPriorBundle:
         a, _ = sample_prior_intensity(prior, Grid(1, 8), rng_for(77))
         b, _ = sample_prior_intensity(prior, Grid(1, 8), rng_for(77))
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("dim, resolution", [(1, 8), (1, 64), (2, 5), (3, 3)])
+    def test_single_draw_is_the_sequential_algorithm_bit_for_bit(self, dim, resolution):
+        # ell (a float root of a gamma draw), lam*, white noise, then the
+        # field through the one-axis factor, each drawn one at a time
+        from scipy.linalg import lapack
+        prior = SgcpPrior(dim=dim, ell_prior=LengthScalePriorSpec(dim, 1.5, 0.7),
+                          lam_prior=MaxIntensityPriorSpec(0.5, 2.0))
+        grid = Grid(dim, resolution)
+        rng, ref = rng_for(78, dim, resolution), rng_for(78, dim, resolution)
+        for _ in range(25):
+            field, latents = sample_prior_intensity(prior, grid, rng)
+            ell = ref.gamma(1.5, 1.0 / 0.7) ** (1.0 / dim)
+            lam_star = ref.gamma(0.5, 1.0 / 2.0)
+            white = ref.standard_normal(grid.n_nodes)
+            axis = np.linspace(0.0, 1.0, resolution)
+            diff = np.subtract.outer(axis, axis)
+            A = np.array(np.exp(diff * diff * -(ell * ell)), order="F")
+            A.flat[::resolution + 1] += 1e-10
+            L1 = lapack.dpotrf(A, lower=1, clean=1)[0]
+            g = white
+            for _ in range(dim):
+                g = (L1 @ g.reshape(resolution, -1)).T
+            g = g.ravel()
+            assert latents["ell"] == ell and type(latents["ell"]) is float
+            assert latents["lambda_star"] == lam_star
+            assert latents["white"].tobytes() == white.tobytes()
+            assert latents["latent"].tobytes() == g.tobytes()
+            assert field.values.tobytes() == (lam_star * sigmoid(g)).tobytes()
+        assert rng.random() == ref.random()
+
+    def test_node_guard_draws_nothing(self):
+        rng = rng_for(80)
+        with pytest.raises(ValueError):
+            sample_prior_intensity(SgcpPrior(dim=2), Grid(2, 70), rng)
+        assert rng.random() == rng_for(80).random()
+
+    def test_batch_rows_are_the_draws_of_its_arrays(self):
+        prior = SgcpPrior(dim=2)
+        grid = Grid(2, 4)
+        draw = sample_prior_batch(prior, grid, rng_for(79), 6)
+        assert draw["ell"].shape == draw["lambda_star"].shape == (6,)
+        assert draw["white"].shape == draw["latent"].shape == (6, 16)
+        for i in range(6):
+            want = gp_field(float(draw["ell"][i]), grid, draw["white"][i])
+            assert draw["latent"][i].tobytes() == want.tobytes()
 
 
 class TestSmallBall:
