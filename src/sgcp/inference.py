@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
+from ._pool import run_cells, usable_cpus
 from .kernels import MAX_DENSE_NODES, apply_factor, axis_nodes, chol_with_jitter, cov_matrix
 from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
                             simulate_thinning_batch)
@@ -51,6 +52,10 @@ CHECK_EVERY = 1000
 # from this many batch means, and each batch needs at least two rounds
 N_BATCHES = 32
 MIN_ROUNDS = 2 * N_BATCHES
+# the calibration's chained side runs as this many independent chains, the
+# smallest split that runs in parallel: each extra one restarts from the prior
+# and shortens the chains whose drift gives the test its power
+CHAINED_SEGMENTS = 2
 # a chained ceiling above this reports the calibration run as diverged
 LAMBDA_CAP = 1e5
 # the calibration's forward rounds are drawn in blocks of at most this many
@@ -524,6 +529,38 @@ def _stat_row(lam_star: float, ell: float, mean_intensity: float, count: int) ->
             float(count), float(count * count))
 
 
+def _chained_segment(prior: SgcpPrior, grid: Grid, config: ChainConfig,
+                     mutate_drop_integral: bool, rng: np.random.Generator, n_rounds: int,
+                     sweeps_per_round: int) -> tuple[np.ndarray, bool]:
+    """One independent chain of the calibration's chained side.
+
+    The chain starts from its own prior draw and, each round, simulates data
+    given its state, records the ``_GEWEKE_STATS`` row and sweeps the sampler
+    on those data. Returns the rows of the rounds completed and whether the
+    chain diverged (its ceiling passed ``LAMBDA_CAP``) before the next one.
+    """
+    sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
+    rows = np.empty((n_rounds, len(_GEWEKE_STATS)))
+    _, latents = sample_prior_intensity(prior, grid, rng)
+    sampler.set_state(ModelState(
+        white=latents["white"],
+        log_ell=math.log(latents["ell"]),
+        log_lambda_star=math.log(latents["lambda_star"]),
+    ))
+    for i in range(n_rounds):
+        lam_star = math.exp(sampler.state.log_lambda_star)
+        if lam_star > LAMBDA_CAP:
+            return rows[:i], True
+        field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
+        pattern = simulate_thinning(lam_star, field, rng)
+        rows[i] = _stat_row(lam_star, math.exp(sampler.state.log_ell),
+                            lam_star * sampler.integral_of_link, pattern.n)
+        sampler.set_data([pattern])
+        for _ in range(sweeps_per_round):
+            sampler.sweep(rng)
+    return rows, False
+
+
 def geweke_joint_test(
     prior: SgcpPrior,
     grid: Grid,
@@ -535,42 +572,50 @@ def geweke_joint_test(
     """Joint distribution check of the sampler against the generative model.
 
     Forward side: independent (theta, data) draws from the prior and the
-    thinning simulator, in blocks (``_forward_stats``). Chained side: a
-    Markov chain alternating data-given-state simulation with posterior
-    sweeps, whose marginal must also be the prior if (and in practice only
-    if) the transition kernel is correct.
+    thinning simulator, in blocks (``_forward_stats``). Chained side: Markov
+    chains alternating data-given-state simulation with posterior sweeps,
+    whose marginal must also be the prior if (and in practice only if) the
+    transition kernel is correct.
     z-scores compare the two sides per statistic; the chained side uses
     batch-means standard errors, so at least ``MIN_ROUNDS`` rounds are
     required. A ceiling excursion above ``LAMBDA_CAP`` reports divergence
     outright — under a correct kernel the prior puts vanishing mass there,
     while broken kernels drift through it quickly.
+
+    The chained side is ``CHAINED_SEGMENTS`` independent chains: segment
+    ``k`` runs rounds ``n_rounds * k // CHAINED_SEGMENTS`` up to the next
+    segment's first, from its own prior draw, on the stream
+    ``rng.spawn(CHAINED_SEGMENTS)[k]`` (``_chained_segment``). The segments
+    run on the fork pool of ``_pool``, ``min(CHAINED_SEGMENTS, usable_cpus())``
+    processes, and their rows are concatenated in segment order, so the
+    result is the same at any CPU count. The first diverged segment in
+    segment order decides: ``n_rounds`` then counts the rounds completed by
+    the segments before it and by it. A segment in a forked child runs on
+    that child's copy of the module, so a patch of a ``_Sampler`` method or
+    of ``simulate_thinning`` here is inherited, but what it records is seen
+    only for the segments the calling process ran.
     """
     if n_rounds < MIN_ROUNDS or sweeps_per_round < 1:
         raise ValueError(f"need at least {MIN_ROUNDS} rounds and one sweep per round")
     config = ChainConfig(resolution=grid.resolution)
-    sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
+    # refuses a grid the sampler cannot take before any draw or fork
+    _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
 
     forward = _forward_stats(prior, grid, rng, n_rounds)
 
-    chained = np.empty((n_rounds, len(_GEWEKE_STATS)))
-    _, latents = sample_prior_intensity(prior, grid, rng)
-    state = ModelState(
-        white=latents["white"],
-        log_ell=math.log(latents["ell"]),
-        log_lambda_star=math.log(latents["lambda_star"]),
-    )
-    sampler.set_state(state)
-    for i in range(n_rounds):
-        lam_star = math.exp(sampler.state.log_lambda_star)
-        if lam_star > LAMBDA_CAP:
-            return GewekeResult({name: float("inf") for name in _GEWEKE_STATS}, True, i)
-        field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
-        pattern = simulate_thinning(lam_star, field, rng)
-        chained[i] = _stat_row(lam_star, math.exp(sampler.state.log_ell),
-                               lam_star * sampler.integral_of_link, pattern.n)
-        sampler.set_data([pattern])
-        for _ in range(sweeps_per_round):
-            sampler.sweep(rng)
+    streams = rng.spawn(CHAINED_SEGMENTS)
+    bounds = [n_rounds * k // CHAINED_SEGMENTS for k in range(CHAINED_SEGMENTS + 1)]
+    segments = run_cells(
+        list(range(CHAINED_SEGMENTS)), min(CHAINED_SEGMENTS, usable_cpus()),
+        lambda k: _chained_segment(prior, grid, config, mutate_drop_integral, streams[k],
+                                   bounds[k + 1] - bounds[k], sweeps_per_round))
+    completed = 0
+    for rows, diverged in segments:
+        completed += rows.shape[0]
+        if diverged:
+            return GewekeResult({name: float("inf") for name in _GEWEKE_STATS}, True,
+                                completed)
+    chained = np.concatenate([rows for rows, _ in segments])
 
     z_scores = {}
     for j, name in enumerate(_GEWEKE_STATS):
@@ -580,4 +625,3 @@ def geweke_joint_test(
         diff = float(np.mean(chained[:, j]) - np.mean(forward[:, j]))
         z_scores[name] = diff / denom if denom > 0.0 else 0.0
     return GewekeResult(z_scores, False, n_rounds)
-

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from sgcp import (DataError, experiment, get_truth, read_field_csv, read_pattern_csv,
-                  write_field_csv)
+from sgcp import (DataError, Grid, SgcpPrior, experiment, get_truth, inference,
+                  read_field_csv, read_pattern_csv, rng_for, write_field_csv)
 from sgcp.cli import main
-from sgcp.inference import NumericalError
+from sgcp.inference import NumericalError, geweke_joint_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -475,6 +475,76 @@ class TestCalibrate:
                      "--sweeps", "4", "--seed", "55", "--mutate"])
         assert code == 5
         assert "CALIBRATION FAIL" in capsys.readouterr().out
+
+
+class TestCalibrateSegmentSplit:
+    """The chained segments run on the usable CPUs; results do not depend on how many."""
+
+    def test_outputs_independent_of_cpu_count(self, monkeypatch, capsys, tmp_path):
+        runs = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            forks = _count_forks(monkeypatch)
+            result = geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(17, 7),
+                                       n_rounds=256, sweeps_per_round=2)
+            out = tmp_path / f"cpus{cpus}"
+            code = main(["calibrate", "--rounds", "256", "--resolution", "8", "--sweeps", "2",
+                         "--seed", "17", "--out", str(out)])
+            runs.append((result, code, (out / "calibrate.json").read_bytes(),
+                         capsys.readouterr().out))
+            assert len(forks) == 2 * (min(2, cpus) - 1)  # one per call at W >= 2
+        assert runs[0][0].n_rounds == 256 and not runs[0][0].diverged
+        assert runs[0][1] in (0, 5)  # 256 rounds are too few for a reliable verdict
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert _no_child_left()
+
+    def test_diverged_rounds_independent_of_cpu_count(self, monkeypatch, capsys, tmp_path):
+        # at ceiling rate 0.8 the mutated chain diverges within 128 rounds: at
+        # seed 3 in the first segment, at seed 4 in the second
+        cfg = tmp_path / "rate.ini"
+        cfg.write_text("[prior]\nlam_rate = 0.8\n")
+        completed = []
+        for seed in ("3", "4"):
+            argv = ["calibrate", "--rounds", "128", "--resolution", "8", "--sweeps", "2",
+                    "--seed", seed, "--mutate", "--config", str(cfg)]
+            outputs = []
+            for cpus in (1, 2):
+                _cpus(monkeypatch, cpus)
+                assert main(argv) == 5
+                outputs.append(capsys.readouterr().out)
+            assert outputs[1] == outputs[0]
+            line = next(ln for ln in outputs[0].splitlines() if ln.startswith("rounds"))
+            assert line.endswith("diverged: True")
+            completed.append(int(line.split(":")[1].split(";")[0]))
+        assert completed[0] < 64 < completed[1] < 128
+        assert _no_child_left()
+
+    def test_child_failure_is_reraised(self, monkeypatch):
+        parent, real_simulate = os.getpid(), inference.simulate_thinning
+        calls = []
+
+        def simulate_thinning(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericalError("broken in a child")
+            if not calls:
+                time.sleep(1.0)  # the child takes the other segment meanwhile
+            calls.append(1)
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "simulate_thinning", simulate_thinning)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(NumericalError, match="broken in a child"):
+            geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(17, 7), n_rounds=64)
+        assert _no_child_left()
+
+    def test_oversized_grid_refused_before_any_draw_or_fork(self, monkeypatch, capsys):
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        drawn = []
+        monkeypatch.setattr(inference, "_forward_stats", lambda *a: drawn.append(a))
+        assert main(["calibrate", "--dim", "4", "--resolution", "16", "--rounds", "64"]) == 2
+        assert "guarded at 4096" in capsys.readouterr().err
+        assert not forks and not drawn
 
 
 class TestVerifyPriors:
