@@ -18,7 +18,7 @@ from .experiment import (CellResult, ContractionReport, count_inversions, fit_ra
 from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,
                         initial_state, run_chain)
-from .kernels import (FactorizationError, SpectralDensity, chol_with_jitter, cov_matrix,
+from .kernels import (FactorizationError, chol_with_jitter, cov_matrix,
                       exponential_moment_log_bound, kernel_eval, sample_gp,
                       spectral_characteristic, spectral_covariance_quadrature)
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
@@ -30,8 +30,7 @@ from .priors import (LOGISTIC_SQRT_LIPSCHITZ, LengthScalePriorSpec, LengthScaleT
                      MaxIntensityPriorSpec, SgcpPrior, SmallBallEstimate, ValidationResult,
                      default_length_scale_bounds, estimate_sqrt_link_lipschitz,
                      prior_small_ball_probability, sample_prior_batch, sample_prior_intensity,
-                     validate_length_scale_tail, validate_max_intensity_tail,
-                     w0_from_truth)
+                     validate_length_scale_tail, validate_max_intensity_tail)
 from .truths import TRUTHS, TruthSpec, get_truth
 
 __version__ = "0.1.0"

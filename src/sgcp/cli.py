@@ -30,7 +30,7 @@ from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import (FLOAT_FMT, run_contraction_experiment, write_cells_csv,
                          write_medians_csv, write_report_json)
 from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
-from .kernels import FactorizationError, SpectralDensity, exponential_moment_log_bound
+from .kernels import FactorizationError, exponential_moment_log_bound
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
 from .point_process import (DataError, Grid, IntensityField, _write_meta,
                             integrate_field, read_field_csv, read_pattern_csv,
@@ -272,7 +272,7 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
     r = validate_max_intensity_tail(prior.lam_prior)
     checks.append(("ceiling-exponential-tail", r.passed, r.detail, r.witness))
 
-    log_m = exponential_moment_log_bound(SpectralDensity("gaussian", args.dim), args.delta)
+    log_m = exponential_moment_log_bound(args.dim, args.delta)
     checks.append(("spectral-exponential-moment", math.isfinite(log_m),
                    f"log E exp(delta ||xi||) <= {log_m:.6g} at delta {args.delta:g}", None))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -45,7 +46,6 @@ _DEFAULTS = {
         "n_iter": "20000",
         "n_burn": "5000",
         "thin": "5",
-        "step_log_ell": "0.3",
     },
     "prior": {
         "ell_shape": "1.0",
@@ -68,7 +68,7 @@ def seed_fingerprint(master_seed: int, *path: int) -> int:
 
 
 def _parse_ns(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(int(part) for part in text.split(","))
 
 
 def _canonical(value) -> str:
@@ -114,8 +114,6 @@ class ExperimentConfig:
     radius_constant: float = 2.0
     chain: ChainConfig = field(default_factory=ChainConfig)
     synthetic: bool = False
-    synthetic_constant: float = 1.0
-    synthetic_exponent: float = 0.5
 
     def __post_init__(self):
         if len(self.ns) < 2 or any(n < 1 for n in self.ns):
@@ -126,8 +124,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.radius_constant > 0.0:
-            raise ValueError("radius constant must be positive")
+        if not 0.0 < self.radius_constant < math.inf:
+            raise ValueError("radius constant must be a positive finite number")
         if self.chain.resolution != self.resolution:
             object.__setattr__(self, "chain", replace(self.chain, resolution=self.resolution))
 

@@ -45,6 +45,9 @@ from .priors import SgcpPrior
 from .truths import get_truth
 
 FLOAT_FMT = "%.17g"
+# synthetic mode's distances lie exactly on SYNTHETIC_CONSTANT * n^-SYNTHETIC_EXPONENT
+SYNTHETIC_CONSTANT = 1.0
+SYNTHETIC_EXPONENT = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     seed_data = seed_fingerprint(config.seed, i_n, rep, 0)
     seed_chain = seed_fingerprint(config.seed, i_n, rep, 1)
     if config.synthetic:
-        d = config.synthetic_constant * float(n) ** (-config.synthetic_exponent)
+        d = SYNTHETIC_CONSTANT * float(n) ** (-SYNTHETIC_EXPONENT)
         return CellResult(n, rep, 0, d, d, 0.0, 0.0, 0.0, 0.0, seed_data, seed_chain)
     data_rng = rng_for(config.seed, i_n, rep, 0)
     patterns = [simulate_thinning(ceiling, truth, data_rng) for _ in range(n)]

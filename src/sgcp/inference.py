@@ -7,9 +7,10 @@ on one axis of the grid (``kernels.apply_factor``). Moves:
 
 * elliptical slice update of ``white`` (exact prior rotation, likelihood-only
   threshold, bracket shrinking);
-* random-walk Metropolis on ``log ell``, its step adapted in burn-in toward
-  ``ADAPT_TARGET`` — with the white coordinates held fixed the field deforms
-  coherently with the proposal, so no Jacobian for the field is needed;
+* random-walk Metropolis on ``log ell``, its step starting at
+  ``STEP_LOG_ELL_START`` and adapted in burn-in toward ``ADAPT_TARGET`` —
+  with the white coordinates held fixed the field deforms coherently with
+  the proposal, so no Jacobian for the field is needed;
 * an exact draw of ``lam*``, last in the sweep.
 
 Likelihood of patterns N^1..N^n (N points in all) relative to a unit-rate
@@ -36,7 +37,7 @@ import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
 from ._pool import run_cells, usable_cpus
-from .kernels import MAX_DENSE_NODES, apply_factor, axis_nodes, chol_with_jitter, cov_matrix
+from .kernels import apply_factor, axis_nodes, check_grid, chol_with_jitter, cov_matrix
 from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
                             simulate_thinning_batch)
 from .priors import SgcpPrior, sample_prior_batch, sample_prior_intensity
@@ -48,6 +49,9 @@ MAX_SHRINK = 200
 # sweeps between scratch recomputations of the cached log likelihood; a
 # chain also recomputes after its last sweep, so short chains are checked too
 CHECK_EVERY = 1000
+# a recomputed target may differ from the cached one by this much, relative
+# to 1 + its magnitude
+SCRATCH_RTOL = 1e-8
 # the chained side's standard errors in the joint calibration test come
 # from this many batch means, and each batch needs at least two rounds
 N_BATCHES = 32
@@ -62,7 +66,9 @@ LAMBDA_CAP = 1e5
 # field values (and at least one round), so memory does not grow with rounds;
 # at 2^12 a block's arrays stay below the (n_rounds, 6) statistics of 4000 rounds
 FORWARD_BLOCK_VALUES = 1 << 12
-# burn-in adapts the ell step toward this acceptance rate
+# the first step of the log ell random walk, which burn-in then adapts
+# toward this acceptance rate
+STEP_LOG_ELL_START = 0.3
 ADAPT_TARGET = 0.3
 
 
@@ -72,15 +78,15 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Run-length, step-size, and bookkeeping knobs for one chain."""
+    """Run length and bookkeeping for one chain. With ``update_hyperparameters``
+    off, ``ell`` and ``lam*`` stay at their initial values and only the
+    latent field moves."""
 
     n_iter: int = 20000
     n_burn: int = 5000
     thin: int = 5
     resolution: int = 64
-    step_log_ell: float = 0.3
-    update_ell: bool = True
-    update_lambda_star: bool = True
+    update_hyperparameters: bool = True
 
     def __post_init__(self):
         if self.n_iter <= 0 or not (0 <= self.n_burn < self.n_iter):
@@ -89,8 +95,6 @@ class ChainConfig:
             raise ValueError("thin must be >= 1")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if self.step_log_ell <= 0.0:
-            raise ValueError("step_log_ell must be positive")
 
 
 @dataclass
@@ -127,9 +131,6 @@ class PosteriorChain:
     def mean_intensity(self) -> IntensityField:
         return IntensityField(self.grid, np.mean(self.intensity, axis=0))
 
-    def intensity_draw(self, i: int) -> IntensityField:
-        return IntensityField(self.grid, self.intensity[i])
-
 
 def effective_sample_size(x: np.ndarray) -> float:
     """Initial-positive-sequence autocorrelation estimate of the ESS."""
@@ -164,9 +165,9 @@ class _Sampler:
     (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
     fills and factors an r×r matrix for r nodes per axis), the interpolation
     stencil of the data points, the two likelihood statistics and the target
-    of the moves: collapsed when ``update_lambda_star`` is on, else the joint
-    likelihood at the fixed lam*. A grid with more than ``MAX_DENSE_NODES``
-    nodes, a size no test or benchmark exercises, is refused.
+    of the moves: collapsed when ``update_hyperparameters`` is on, else the
+    joint likelihood at the fixed lam*. A grid that ``check_grid`` refuses is
+    refused here, before anything is filled.
     ``mutate_drop_integral`` deliberately corrupts the model (for
     calibration-test power checks) by dropping ``n int s`` from both targets
     and from the rate of the lam* draw.
@@ -176,16 +177,14 @@ class _Sampler:
                  mutate_drop_integral: bool = False):
         if grid.dim != prior.dim:
             raise ValueError("grid dimension does not match the prior")
-        if grid.n_nodes > MAX_DENSE_NODES:
-            raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler is "
-                             f"guarded at {MAX_DENSE_NODES}")
+        check_grid(grid)
         self.prior = prior
         self.grid = grid
         self.config = config
         self.mutate = mutate_drop_integral
         self.axis_nodes = axis_nodes(grid.resolution)
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
-        self.step_log_ell = config.step_log_ell
+        self.step_log_ell = STEP_LOG_ELL_START
         self.points = np.empty((0, grid.dim))
         self.stencil = interp_stencil(grid.dim, grid.resolution, self.points)
         self.n_patterns = 0
@@ -253,7 +252,7 @@ class _Sampler:
     def _target_from(self, suff: tuple[float, float]) -> float:
         """Log likelihood the moves target: lam* integrated out when it is
         sampled, else the joint one at the fixed lam*."""
-        if not self.config.update_lambda_star:
+        if not self.config.update_hyperparameters:
             return self._loglik_from(suff, self.state.log_lambda_star)
         sum_log_s, int_s = suff
         if not math.isfinite(sum_log_s):
@@ -283,13 +282,13 @@ class _Sampler:
         val += self.prior.lam_prior.log_density_of_log(st.log_lambda_star)
         return val + self._loglik_from(self._suff, st.log_lambda_star)
 
-    def scratch_check(self, rtol: float = 1e-8) -> None:
+    def scratch_check(self) -> None:
         """Recompute the cached target from the bare state and compare."""
         st = self.state
         g = apply_factor(self._factor(math.exp(st.log_ell)), st.white, self.grid.dim)
         ll = self._target_from(self._suffstats(g))
         scale = 1.0 + abs(ll)
-        if not math.isclose(ll, self._loglik, rel_tol=0.0, abs_tol=rtol * scale):
+        if not math.isclose(ll, self._loglik, rel_tol=0.0, abs_tol=SCRATCH_RTOL * scale):
             raise NumericalError(
                 f"cached log likelihood {self._loglik!r} drifted from scratch value {ll!r}")
 
@@ -372,14 +371,13 @@ class _Sampler:
 
     def sweep(self, rng: np.random.Generator) -> None:
         self.update_latent(rng)
-        if self.config.update_ell:
+        if self.config.update_hyperparameters:
             self.update_length_scale(rng)
-        if self.config.update_lambda_star:
             self.update_ceiling(rng)  # last: the moves above target lam* integrated out
 
     def adapt_steps(self, k: int) -> None:
         """Robbins-Monro adaptation of the ell step toward ``ADAPT_TARGET``."""
-        if self.config.update_ell:
+        if self.config.update_hyperparameters:
             gain = (k + 1.0) ** -0.6
             step = self.step_log_ell * math.exp(gain * (self._last_alpha_ell - ADAPT_TARGET))
             self.step_log_ell = min(max(step, 1e-3), 10.0)
@@ -597,9 +595,10 @@ def geweke_joint_test(
     """
     if n_rounds < MIN_ROUNDS or sweeps_per_round < 1:
         raise ValueError(f"need at least {MIN_ROUNDS} rounds and one sweep per round")
+    if grid.dim != prior.dim:
+        raise ValueError("grid dimension does not match the prior")
+    check_grid(grid)  # before any draw or fork
     config = ChainConfig(resolution=grid.resolution)
-    # refuses a grid the sampler cannot take before any draw or fork
-    _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
 
     forward = _forward_stats(prior, grid, rng, n_rounds)
 

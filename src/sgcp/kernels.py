@@ -11,7 +11,7 @@ made from white noise by ``apply_factor``, d products with ``L1``, so no
 r^d × r^d matrix is ever filled or factored.
 
 Its spectral form, the Fourier transform of the Gaussian spectral density
-``mu`` with per-axis standard deviation sqrt(2)::
+``mu`` with per-axis standard deviation ``SPECTRAL_SIGMA = sqrt(2)``::
 
     k(s,t) = Re  integral  exp(-i <xi, ell (t-s)>) mu(xi) dxi
 
@@ -24,7 +24,6 @@ finite is bounded in closed form by ``exponential_moment_log_bound``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,34 +31,19 @@ from scipy.linalg import lapack as _lapack
 
 from .point_process import Grid
 
-MAX_DENSE_NODES = 4096
+# the largest grid, in nodes, that the sampler and the prior draws accept
+MAX_GRID_NODES = 4096
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 
 # Gauss-Hermite nodes per axis of the spectral quadrature
 GH_NODES = 80
+# per-axis standard deviation of the Gaussian spectral density of the covariance
+SPECTRAL_SIGMA = math.sqrt(2.0)
 
 
 class FactorizationError(RuntimeError):
     """Covariance factorization failed after maximum jitter escalation."""
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """The Gaussian spectral density on R^d, a probability measure with
-    independent axes of standard deviation ``sigma``."""
-
-    name: str
-    dim: int
-    sigma: float = math.sqrt(2.0)
-
-    def __post_init__(self):
-        if self.name != "gaussian":
-            raise ValueError(f"unknown spectral density family {self.name!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
 
 
 @lru_cache(maxsize=8)
@@ -68,25 +52,26 @@ def _hermgauss(n: int):
     return x, w
 
 
-def spectral_characteristic(mu: SpectralDensity, ell: float, lag: np.ndarray) -> complex:
+def spectral_characteristic(ell: float, lag: np.ndarray) -> complex:
     """Complex value of ``integral exp(-i <xi, ell*lag>) mu(xi) dxi`` by
-    tensorized Gauss-Hermite quadrature (spectrally accurate)."""
+    tensorized Gauss-Hermite quadrature (spectrally accurate); the dimension
+    of ``mu`` is the length of ``lag``."""
     lag = np.atleast_1d(np.asarray(lag, dtype=np.float64))
-    if lag.shape != (mu.dim,):
-        raise ValueError(f"lag must have shape ({mu.dim},)")
+    if lag.ndim != 1 or lag.size == 0:
+        raise ValueError(f"lag must be a non-empty vector, got shape {lag.shape}")
     a = ell * lag
     u, w = _hermgauss(GH_NODES)
     out = complex(1.0, 0.0)
-    for ax in range(mu.dim):
-        phase = -math.sqrt(2.0) * mu.sigma * u * a[ax]
+    for ax in range(lag.size):
+        phase = -math.sqrt(2.0) * SPECTRAL_SIGMA * u * a[ax]
         s = complex(np.sum(w * np.cos(phase)), np.sum(w * np.sin(phase)))
         out *= s / math.sqrt(math.pi)
     return out
 
 
-def spectral_covariance_quadrature(mu: SpectralDensity, ell: float, lag: np.ndarray) -> float:
+def spectral_covariance_quadrature(ell: float, lag: np.ndarray) -> float:
     """Real part of the spectral-form covariance at the given lag."""
-    return spectral_characteristic(mu, ell, lag).real
+    return spectral_characteristic(ell, lag).real
 
 
 def kernel_eval(ell: float, s, t) -> float:
@@ -181,12 +166,11 @@ def axis_nodes(resolution: int) -> np.ndarray:
     return nodes
 
 
-def check_gp_grid(grid: Grid) -> None:
-    """Refuse a grid above ``MAX_DENSE_NODES`` nodes before any noise is drawn."""
-    if grid.n_nodes > MAX_DENSE_NODES:
-        raise ValueError(
-            f"grid has {grid.n_nodes} nodes; GP draws are guarded at {MAX_DENSE_NODES}"
-        )
+def check_grid(grid: Grid) -> None:
+    """Refuse a grid above ``MAX_GRID_NODES`` nodes, before anything is drawn."""
+    if grid.n_nodes > MAX_GRID_NODES:
+        raise ValueError(f"grid has {grid.n_nodes} nodes; the sampler and prior draws "
+                         f"are guarded at {MAX_GRID_NODES}")
 
 
 def gp_field(ell: float, grid: Grid, white: np.ndarray) -> np.ndarray:
@@ -202,24 +186,26 @@ def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndar
     Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
     the field ``gp_field(ell, grid, white)``.
     """
-    check_gp_grid(grid)
+    check_grid(grid)
     white = rng.standard_normal(grid.n_nodes)
     return white, gp_field(ell, grid, white)
 
 
-def exponential_moment_log_bound(mu: SpectralDensity, delta: float) -> float:
-    """Log of an upper bound on ``integral exp(delta ||xi||) mu(d xi)``, ``delta > 0``.
+def exponential_moment_log_bound(dim: int, delta: float) -> float:
+    """Log of an upper bound on ``integral exp(delta ||xi||) mu(d xi)`` for the
+    spectral density ``mu`` on R^dim, ``delta > 0``.
 
     ``||xi|| <= sum |xi_i|`` and the axes are independent, so the moment is at
-    most ``(E exp(delta |xi_1|))^d = (2 exp(sigma^2 delta^2 / 2) Phi(sigma delta))^d``,
-    with equality at d = 1. Evaluated in log space, with ``2 Phi(x) =
-    erfc(-x / sqrt 2)``, so no finite tilt overflows; a tilt that is not a
-    positive finite number, or whose bound is not finite, raises ``ValueError``.
+    most ``(E exp(delta |xi_1|))^dim = (2 exp(sigma^2 delta^2 / 2) Phi(sigma delta))^dim``
+    with ``sigma = SPECTRAL_SIGMA``, with equality at dim = 1. Evaluated in log
+    space, with ``2 Phi(x) = erfc(-x / sqrt 2)``, so no finite tilt overflows; a
+    tilt that is not a positive finite number, or whose bound is not finite,
+    raises ``ValueError``.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"exponential-moment tilt must be positive and finite, got {delta}")
-    t = mu.sigma * delta
-    log_bound = mu.dim * (0.5 * t * t + math.log(math.erfc(-t / math.sqrt(2.0))))
+    t = SPECTRAL_SIGMA * delta
+    log_bound = dim * (0.5 * t * t + math.log(math.erfc(-t / math.sqrt(2.0))))
     if not math.isfinite(log_bound):
         raise ValueError(f"exponential-moment tilt {delta} is too large for a finite bound")
     return log_bound

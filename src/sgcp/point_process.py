@@ -41,10 +41,6 @@ class Grid:
     def n_nodes(self) -> int:
         return self.resolution**self.dim
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.resolution - 1)
-
     def nodes(self) -> np.ndarray:
         """Node coordinates, shape (n_nodes, dim), C-order (last axis fastest)."""
         axes = [np.linspace(0.0, 1.0, self.resolution)] * self.dim
@@ -122,9 +118,6 @@ class IntensityField:
     @property
     def resolution(self) -> int:
         return self.grid.resolution
-
-    def max(self) -> float:
-        return float(self.values.max())
 
     def at(self, pts: np.ndarray) -> np.ndarray:
         """Interpolated intensity at points, shape (n, dim) -> (n,)."""

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as _sci_special
 
 from ._accel import sigmoid
-from .kernels import check_gp_grid, gp_field
+from .kernels import check_grid, gp_field
 from .point_process import Grid, IntensityField
 
 # sup_x |d/dx sqrt(sigmoid(x))|, attained where sigmoid(x) = 1/3
@@ -42,22 +42,10 @@ def estimate_sqrt_link_lipschitz() -> float:
     return float(np.max(np.abs(deriv)))
 
 
-def w0_from_truth(truth: IntensityField) -> tuple[np.ndarray, float]:
-    """Latent centering of a strictly positive truth.
-
-    Returns ``(w0, lam_star)`` with ``lam_star = 2 * max(truth)`` so that
-    ``lam_star * sigmoid(w0) == truth`` exactly on the grid and the sigmoid
-    argument stays in (0, 1/2], keeping the logit bounded.
-    """
-    lam0 = truth.values
-    if np.any(lam0 <= 0.0):
-        raise ValueError("truth intensity must be strictly positive for latent centering")
-    lam_star = 2.0 * float(np.max(lam0))
-    p = lam0 / lam_star
-    if np.any(p == 0.0):
-        raise ValueError("truth intensity underflows to 0 against its ceiling; "
-                         "the logit is unbounded")
-    return np.log(p) - np.log1p(-p), lam_star
+def _check_gamma(shape: float, rate: float) -> None:
+    if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
+        raise ValueError(f"gamma parameters must be positive finite numbers, "
+                         f"got shape {shape!r} and rate {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +63,7 @@ class LengthScalePriorSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValueError("gamma parameters must be positive")
+        _check_gamma(self.shape, self.rate)
 
     def log_density(self, ell: float) -> float:
         if ell <= 0.0:
@@ -109,8 +96,7 @@ class MaxIntensityPriorSpec:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValueError("gamma parameters must be positive")
+        _check_gamma(self.shape, self.rate)
 
     def log_density(self, lam: float) -> float:
         if lam <= 0.0:
@@ -264,7 +250,7 @@ def sample_prior_batch(
     """
     if grid.dim != prior.dim:
         raise ValueError("grid dimension does not match the prior")
-    check_gp_grid(grid)
+    check_grid(grid)
     ell = prior.ell_prior.sample(rng, size=n)
     lam_star = prior.lam_prior.sample(rng, size=n)
     white = rng.standard_normal((n, grid.n_nodes))

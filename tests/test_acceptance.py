@@ -25,7 +25,7 @@ from scipy import stats
 
 from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
                   LengthScalePriorSpec, MaxIntensityPriorSpec,
-                  ModelState, PointPattern, SgcpPrior, SpectralDensity,
+                  ModelState, PointPattern, SgcpPrior,
                   estimate_sqrt_link_lipschitz, geweke_joint_test, get_truth,
                   prior_small_ball_probability, rng_for, run_chain,
                   run_contraction_experiment, sample_gp, simulate_thinning,
@@ -63,11 +63,10 @@ def test_01_kernel_correspondence(report):
     worst = 0.0
     for dim in (1, 2):
         lags = rng_for(101, dim).uniform(-1.2, 1.2, size=(20, dim))
-        mu = SpectralDensity("gaussian", dim)
         for ell in (0.5, 1.0, 2.7):
             for h in lags:
                 closed = math.exp(-(ell ** 2) * float(h @ h))
-                quad = spectral_covariance_quadrature(mu, ell, h)
+                quad = spectral_covariance_quadrature(ell, h)
                 worst = max(worst, abs(quad - closed))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
@@ -148,7 +147,7 @@ def test_03_mcmc_correctness(report):
     mean_oracle = post @ G
     var_oracle = post @ (G - mean_oracle) ** 2
     fixed = ChainConfig(n_iter=60000, n_burn=5000, thin=5, resolution=3,
-                        update_ell=False, update_lambda_star=False)
+                        update_hyperparameters=False)
     init = ModelState(np.zeros(3), math.log(ell), math.log(lam_star))
     oracle_chain = run_chain([pattern], prior, fixed, rng_for(7, 3), init=init)
     mean_err = float(np.abs(oracle_chain.latent.mean(axis=0) - mean_oracle).max())

@@ -270,7 +270,14 @@ class TestConfigHandling:
         ("[experiment]\nradius_constant = -1\n", []),
         ("[experiment]\nns = 0, 5\n", []),
         ("", ["--seed", "-3"]),
-    ], ids=["radius-constant", "design-size", "seed"])
+        ("[prior]\nlam_shape = nan\n", []),
+        ("[prior]\nlam_rate = inf\n", []),
+        ("[prior]\nell_shape = nan\n", []),
+        ("[prior]\nell_rate = inf\n", []),
+        ("[experiment]\nradius_constant = inf\n", []),
+        ("[chain]\nstep_log_ell = 0.3\n", []),
+    ], ids=["radius-constant", "design-size", "seed", "lam-shape-nan", "lam-rate-inf",
+            "ell-shape-nan", "ell-rate-inf", "radius-constant-inf", "removed-key"])
     def test_out_of_range_value_rejected_by_every_command(self, tmp_path, command, ini, flags):
         cfg = tmp_path / "h.ini"
         cfg.write_text(ini)

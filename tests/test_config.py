@@ -29,7 +29,7 @@ def test_readme_configuration_block_loads_to_the_defaults(tmp_path):
 
 
 def test_default_fingerprint_is_stable():
-    assert load_config().fingerprint() == "b380b97fdbf3"
+    assert load_config().fingerprint() == "3e7ef608dfcb"
 
 
 def test_fingerprint_hashes_parsed_values(tmp_path):
@@ -47,20 +47,23 @@ def test_fingerprint_hashes_parsed_values(tmp_path):
 
 def test_values_parsed_as_field_types():
     cfg = load_config(overrides={"experiment.ns": " 3, 7 ,11 ", "experiment.resolution": "16",
-                                 "chain.step_log_ell": "0.5", "prior.ell_shape": "3"})
+                                 "chain.thin": "7", "prior.ell_shape": "3"})
     assert cfg.experiment.ns == (3, 7, 11)
-    assert cfg.experiment.chain == ChainConfig(resolution=16, step_log_ell=0.5)
+    assert cfg.experiment.chain == ChainConfig(resolution=16, thin=7)
     assert cfg.ell_shape == 3.0 and isinstance(cfg.ell_shape, float)
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("experiment.replicates", "two", "experiment.replicates: expected an integer"),
     ("experiment.ns", "25; 50", "experiment.ns: expected comma-separated integers"),
+    ("experiment.ns", "25,,50", "experiment.ns: expected comma-separated integers"),
+    ("experiment.ns", "25, 50,", "experiment.ns: expected comma-separated integers"),
     ("prior.lam_rate", "fast", "prior.lam_rate: expected a number"),
     ("experiment.ns", "50, 25", "strictly increasing"),
     ("experiment.resolution", "1", "resolution must be >= 2"),
     ("chain.n_burn", "20000", "n_burn < n_iter"),
     ("prior.ell_rate", "0", "gamma parameters must be positive"),
+    ("chain.step_log_ell", "0.3", "unknown config key"),
 ])
 def test_bad_values_raise_config_error(key, value, message):
     with pytest.raises(ConfigError, match=message):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sgcp.experiment
 from sgcp import (ChainConfig, ExperimentConfig, count_inversions, fit_rate_slope,
                   get_truth, report_to_dict, run_contraction_experiment,
                   seed_fingerprint, write_cells_csv, write_medians_csv,
@@ -51,10 +52,9 @@ class TestSeedTree:
 
 
 class TestSyntheticMode:
-    def _config(self, exponent=0.5, constant=1.0):
+    def _config(self):
         return ExperimentConfig(
             ns=(25, 50, 100, 200), replicates=3, synthetic=True,
-            synthetic_exponent=exponent, synthetic_constant=constant,
             chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
 
     def test_recovers_injected_exponent_exactly(self):
@@ -62,8 +62,10 @@ class TestSyntheticMode:
         assert report.slope == pytest.approx(-0.5, abs=1e-12)
         assert report.inversions == 0
 
-    def test_recovers_other_exponent(self):
-        report = run_contraction_experiment(self._config(exponent=0.37, constant=2.5))
+    def test_recovers_other_exponent(self, monkeypatch):
+        monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_EXPONENT", 0.37)
+        monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_CONSTANT", 2.5)
+        report = run_contraction_experiment(self._config())
         assert report.slope == pytest.approx(-0.37, abs=1e-12)
         assert report.intercept == pytest.approx(math.log(2.5), abs=1e-12)
 

@@ -22,8 +22,6 @@ class TestChainConfig:
             ChainConfig(n_iter=100, n_burn=100)
         with pytest.raises(ValueError):
             ChainConfig(thin=0)
-        with pytest.raises(ValueError):
-            ChainConfig(step_log_ell=0.0)
 
 
 class TestEffectiveSampleSize:
@@ -107,15 +105,15 @@ class TestSamplerInternals:
         assert np.all(s.latent > -800.0)
 
     def test_cached_field_does_not_drift(self):
-        # with ell fixed the factor never refreshes the field, which the slice
-        # move updates incrementally as g cos + (L nu) sin
+        # with the hyperparameters fixed the factor never refreshes the field,
+        # which the slice move updates incrementally as g cos + (L nu) sin
         prior = SgcpPrior(dim=1)
         grid = Grid(1, 32)
         truth = IntensityField(grid, np.full(32, 5.0))
         from sgcp import simulate_thinning
         rng = rng_for(16, 0)
         pats = [simulate_thinning(5.0, truth, rng) for _ in range(20)]
-        s = _Sampler(prior, grid, ChainConfig(resolution=32, update_ell=False))
+        s = _Sampler(prior, grid, ChainConfig(resolution=32, update_hyperparameters=False))
         s.set_data(pats)
         s.set_state(initial_state(prior, grid, pats))
         rng = rng_for(16, 1)
@@ -320,8 +318,7 @@ class TestRunChain:
 
     def test_fixed_hyperparameters_stay_fixed(self):
         prior = SgcpPrior(dim=1)
-        cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8,
-                          update_ell=False, update_lambda_star=False)
+        cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8, update_hyperparameters=False)
         init = ModelState(np.zeros(8), math.log(1.3), math.log(4.0))
         chain = run_chain([], prior, cfg, rng_for(6), init=init)
         np.testing.assert_allclose(chain.ell, 1.3, rtol=1e-12)

@@ -7,10 +7,10 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from sgcp import (FactorizationError, Grid, SpectralDensity, chol_with_jitter, cov_matrix,
+from sgcp import (FactorizationError, Grid, chol_with_jitter, cov_matrix,
                   exponential_moment_log_bound, kernel_eval, rng_for, sample_gp,
                   spectral_characteristic, spectral_covariance_quadrature)
-from sgcp.kernels import apply_factor
+from sgcp.kernels import SPECTRAL_SIGMA, apply_factor
 
 
 def _reference_factor(ell, points):
@@ -55,52 +55,45 @@ class TestSpectralQuadrature:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.7])
     def test_gaussian_density_reproduces_closed_form(self, dim, ell):
-        mu = SpectralDensity("gaussian", dim)
         rng = rng_for(17, dim)
         for _ in range(20):
             lag = rng.uniform(-1.0, 1.0, size=dim)
-            a = spectral_covariance_quadrature(mu, ell, lag)
+            a = spectral_covariance_quadrature(ell, lag)
             b = kernel_eval(ell, np.zeros(dim), lag)
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_symmetric_density_gives_real_transform(self):
-        z = spectral_characteristic(SpectralDensity("gaussian", 2), 1.4, np.array([0.3, -0.6]))
+        z = spectral_characteristic(1.4, np.array([0.3, -0.6]))
         assert abs(z.imag) < 1e-10
 
     def test_lag_shape_checked(self):
-        with pytest.raises(ValueError):
-            spectral_covariance_quadrature(SpectralDensity("gaussian", 2), 1.0,
-                                           np.array([0.3]))
+        # the lag's length is the dimension, so it must be a non-empty vector
+        for lag in (np.array([[0.3, 0.1]]), np.array([])):
+            with pytest.raises(ValueError):
+                spectral_covariance_quadrature(1.0, lag)
 
 
 class TestSpectralDensity:
     def test_mass_is_one_by_quadrature(self):
         # the transform at lag 0 is the total mass of the density
         for dim in (1, 2):
-            for sigma in (1.0, math.sqrt(2.0)):
-                mu = SpectralDensity("gaussian", dim, sigma=sigma)
-                z = spectral_characteristic(mu, 1.0, np.zeros(dim))
-                assert z == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_family(self):
-        for name in ("laplace", "cauchy"):
-            with pytest.raises(ValueError):
-                SpectralDensity(name, 1)
+            z = spectral_characteristic(1.0, np.zeros(dim))
+            assert z == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExponentialMoment:
     def test_gaussian_1d_closed_form(self):
         # int exp(delta |xi|) N(0, sigma^2) dxi = 2 exp(d^2 s^2/2) Phi(d s), exact at d = 1
-        for sigma in (1.0, math.sqrt(2.0)):
-            got = exponential_moment_log_bound(SpectralDensity("gaussian", 1, sigma=sigma), 1.0)
-            want = math.exp(0.5 * sigma**2) * (1.0 + erf(sigma / math.sqrt(2.0)))
+        for delta in (1.0 / SPECTRAL_SIGMA, 1.0):  # sigma delta = 1 and sqrt 2
+            got = exponential_moment_log_bound(1, delta)
+            t = SPECTRAL_SIGMA * delta
+            want = math.exp(0.5 * t**2) * (1.0 + erf(t / math.sqrt(2.0)))
             assert math.exp(got) == pytest.approx(want, rel=1e-9)
 
     def test_gaussian_2d_against_direct_quadrature(self):
-        sigma = math.sqrt(2.0)
-        mu = SpectralDensity("gaussian", 2, sigma=sigma)
+        sigma = SPECTRAL_SIGMA
         for delta in (0.7, 2.0, 3.0):
-            bound = exponential_moment_log_bound(mu, delta)
+            bound = exponential_moment_log_bound(2, delta)
 
             def radial(r):  # 2 pi r exp(delta r) times the density at radius r
                 return r * math.exp(delta * r - 0.5 * r * r / sigma**2) / sigma**2
@@ -113,7 +106,7 @@ class TestExponentialMoment:
     def test_tilt_must_be_positive(self):
         for delta in (0.0, -1.0, math.nan, math.inf, 1e300):
             with pytest.raises(ValueError):
-                exponential_moment_log_bound(SpectralDensity("gaussian", 1), delta)
+                exponential_moment_log_bound(1, delta)
 
 
 class TestCovMatrix:

@@ -17,7 +17,6 @@ class TestGrid:
         grid = Grid(1, 3)
         np.testing.assert_allclose(grid.nodes(), [[0.0], [0.5], [1.0]])
         assert grid.n_nodes == 3
-        assert grid.spacing == 0.5
 
     def test_nodes_2d_order(self):
         # row-major: the last axis varies fastest
@@ -79,10 +78,6 @@ class TestIntensityField:
         grid = Grid(2, 2)
         field = IntensityField(grid, np.array([1.0, 2.0, 3.0, 10.0]))
         np.testing.assert_allclose(field.at(np.array([[0.5, 0.5]])), [4.0])
-
-    def test_max(self):
-        field = IntensityField(Grid(1, 3), np.array([1.0, 7.0, 2.0]))
-        assert field.max() == 7.0
 
 
 class TestIntegration:

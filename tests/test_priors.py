@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, IntensityField, LengthScalePriorSpec,
+from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, LengthScalePriorSpec,
                   LengthScaleTailBounds, MaxIntensityPriorSpec, SgcpPrior,
                   default_length_scale_bounds, estimate_sqrt_link_lipschitz,
                   get_truth, prior_small_ball_probability, rng_for,
                   sample_prior_batch, sample_prior_intensity, validate_length_scale_tail,
-                  validate_max_intensity_tail, w0_from_truth)
+                  validate_max_intensity_tail)
 from sgcp._accel import sigmoid
 from sgcp.kernels import gp_field
 
@@ -26,37 +26,11 @@ class TestLinks:
         np.testing.assert_allclose(sigmoid(x), special.expit(x), rtol=1e-14)
         assert sigmoid(np.array([0.0]))[0] == 0.5
 
-    def test_inverse_roundtrip(self):
-        # w0_from_truth takes the logit of truth / (2 max truth), here p itself
-        p = np.array([0.01, 0.3, 0.5])
-        w0, lam_star = w0_from_truth(IntensityField(Grid(1, 3), p))
-        assert lam_star == 1.0
-        np.testing.assert_allclose(sigmoid(w0), p, rtol=1e-12)
-
-    def test_inverse_domain(self):
-        # the smallest subnormal over a ceiling of 20 rounds to 0, whose logit is -inf
-        field = IntensityField(Grid(1, 2), np.array([5e-324, 10.0]))
-        with pytest.raises(ValueError, match="underflows"):
-            w0_from_truth(field)
-
     def test_logistic_lipschitz_matches_analytic_maximum(self):
         # d/dx sqrt(sigma) = sqrt(sigma)(1-sigma)/2 peaks at sigma = 1/3
         est = estimate_sqrt_link_lipschitz()
         assert est == pytest.approx(1.0 / (3.0 * math.sqrt(3.0)), abs=1e-5)
         assert est <= LOGISTIC_SQRT_LIPSCHITZ + 1e-3
-
-
-class TestCentering:
-    def test_pushforward_recovers_truth(self):
-        truth = get_truth("sin1d").field(17)
-        w0, lam_star = w0_from_truth(truth)
-        assert lam_star == pytest.approx(2.0 * np.max(truth.values))
-        np.testing.assert_allclose(lam_star * sigmoid(w0), truth.values, rtol=1e-12)
-
-    def test_positive_truth_required(self):
-        field = IntensityField(Grid(1, 3), np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            w0_from_truth(field)
 
 
 class TestLengthScalePrior:
