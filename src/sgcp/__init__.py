@@ -19,18 +19,16 @@ from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,
                         initial_state, run_chain)
 from .kernels import (FactorizationError, chol_with_jitter, cov_matrix,
-                      exponential_moment_log_bound, kernel_eval, sample_gp,
-                      spectral_characteristic, spectral_covariance_quadrature)
+                      exponential_moment_log_bound)
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import (DataError, Grid, IntensityField, PointPattern,
-                            integrate_field, log_likelihood, read_field_csv,
-                            read_pattern_csv, simulate_thinning, simulate_thinning_batch,
-                            write_field_csv, write_pattern_csv)
+from .point_process import (DataError, Grid, IntensityField, PointPattern, integrate_field,
+                            read_field_csv, read_pattern_csv, simulate_thinning,
+                            simulate_thinning_batch, write_field_csv, write_pattern_csv)
 from .priors import (LOGISTIC_SQRT_LIPSCHITZ, LengthScalePriorSpec, LengthScaleTailBounds,
-                     MaxIntensityPriorSpec, SgcpPrior, SmallBallEstimate, ValidationResult,
+                     MaxIntensityPriorSpec, SgcpPrior, ValidationResult,
                      default_length_scale_bounds, estimate_sqrt_link_lipschitz,
-                     prior_small_ball_probability, sample_prior_batch, sample_prior_intensity,
-                     validate_length_scale_tail, validate_max_intensity_tail)
+                     sample_prior_batch, validate_length_scale_tail,
+                     validate_max_intensity_tail)
 from .truths import TRUTHS, TruthSpec, get_truth
 
 __version__ = "0.1.0"

@@ -63,13 +63,6 @@ def interp_apply(values: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> 
     return np.add.reduce(corners, axis=0)
 
 
-def interp_multilinear(
-    values: np.ndarray, dim: int, resolution: int, pts: np.ndarray
-) -> np.ndarray:
-    """Multilinear interpolation of a flat C-order grid at ``pts`` in [0,1]^d."""
-    return interp_apply(values, interp_stencil(dim, resolution, pts))
-
-
 def sgcp_suffstats(
     g: np.ndarray,
     weights: np.ndarray,

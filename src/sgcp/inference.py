@@ -40,7 +40,7 @@ from ._pool import run_cells, usable_cpus
 from .kernels import apply_factor, axis_nodes, check_grid, chol_with_jitter, cov_matrix
 from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
                             simulate_thinning_batch)
-from .priors import SgcpPrior, sample_prior_batch, sample_prior_intensity
+from .priors import SgcpPrior, sample_prior_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -539,11 +539,11 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, config: ChainConfig,
     """
     sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
     rows = np.empty((n_rounds, len(_GEWEKE_STATS)))
-    _, latents = sample_prior_intensity(prior, grid, rng)
+    start = sample_prior_batch(prior, grid, rng, 1)
     sampler.set_state(ModelState(
-        white=latents["white"],
-        log_ell=math.log(latents["ell"]),
-        log_lambda_star=math.log(latents["lambda_star"]),
+        white=start["white"][0],
+        log_ell=math.log(start["ell"][0]),
+        log_lambda_star=math.log(start["lambda_star"][0]),
     ))
     for i in range(n_rounds):
         lam_star = math.exp(sampler.state.log_lambda_star)

@@ -1,4 +1,4 @@
-"""The latent covariance, exact sampling on grids, and its spectral checks.
+"""The latent covariance, its factor on grids, and its spectral checks.
 
 The latent field's covariance is the rescaled squared exponential
 ``k(s,t) = exp(-ell^2 ||t-s||^2)``; it is the only covariance the program
@@ -11,11 +11,12 @@ made from white noise by ``apply_factor``, d products with ``L1``, so no
 r^d × r^d matrix is ever filled or factored.
 
 Its spectral form, the Fourier transform of the Gaussian spectral density
-``mu`` with per-axis standard deviation ``SPECTRAL_SIGMA = sqrt(2)``::
+``mu`` with per-axis standard deviation ``SPECTRAL_SIGMA = sqrt(2)``, is real
+because ``mu`` is symmetric::
 
-    k(s,t) = Re  integral  exp(-i <xi, ell (t-s)>) mu(xi) dxi
+    k(s,t) = integral  cos(<xi, ell (t-s)>) mu(xi) dxi
 
-serves only to check the conditions of the contraction theory: tensorized
+It serves only to check the conditions of the contraction theory: tensorized
 Gauss-Hermite quadrature of that integral reproduces the closed form, and the
 exponential moment ``integral exp(delta ||xi||) mu(d xi)`` the theory needs
 finite is bounded in closed form by ``exponential_moment_log_bound``.
@@ -52,26 +53,20 @@ def _hermgauss(n: int):
     return x, w
 
 
-def spectral_characteristic(ell: float, lag: np.ndarray) -> complex:
-    """Complex value of ``integral exp(-i <xi, ell*lag>) mu(xi) dxi`` by
-    tensorized Gauss-Hermite quadrature (spectrally accurate); the dimension
-    of ``mu`` is the length of ``lag``."""
+def spectral_covariance_quadrature(ell: float, lag: np.ndarray) -> float:
+    """``integral cos(<xi, ell*lag>) mu(xi) dxi`` by tensorized Gauss-Hermite
+    quadrature (spectrally accurate): ``mu`` is a product of symmetric
+    Gaussians, so the transform is a product of one cosine sum per axis. The
+    dimension of ``mu`` is the length of ``lag``."""
     lag = np.atleast_1d(np.asarray(lag, dtype=np.float64))
     if lag.ndim != 1 or lag.size == 0:
         raise ValueError(f"lag must be a non-empty vector, got shape {lag.shape}")
-    a = ell * lag
     u, w = _hermgauss(GH_NODES)
-    out = complex(1.0, 0.0)
-    for ax in range(lag.size):
-        phase = -math.sqrt(2.0) * SPECTRAL_SIGMA * u * a[ax]
-        s = complex(np.sum(w * np.cos(phase)), np.sum(w * np.sin(phase)))
-        out *= s / math.sqrt(math.pi)
+    scale = math.sqrt(2.0) * SPECTRAL_SIGMA * u
+    out = 1.0
+    for a in (ell * lag).tolist():
+        out *= float(np.sum(w * np.cos(scale * a))) / math.sqrt(math.pi)
     return out
-
-
-def spectral_covariance_quadrature(ell: float, lag: np.ndarray) -> float:
-    """Real part of the spectral-form covariance at the given lag."""
-    return spectral_characteristic(ell, lag).real
 
 
 def kernel_eval(ell: float, s, t) -> float:
@@ -178,17 +173,6 @@ def gp_field(ell: float, grid: Grid, white: np.ndarray) -> np.ndarray:
     ``L1`` the Cholesky factor of the covariance on one axis."""
     L1, _ = chol_with_jitter(cov_matrix(ell, axis_nodes(grid.resolution)))
     return apply_factor(L1, white, grid.dim)
-
-
-def sample_gp(ell: float, grid: Grid, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-mean GP draw on the grid through the Kronecker factor.
-
-    Returns ``(white, g)``: the standard normal draw taken from ``rng`` and
-    the field ``gp_field(ell, grid, white)``.
-    """
-    check_grid(grid)
-    white = rng.standard_normal(grid.n_nodes)
-    return white, gp_field(ell, grid, white)
 
 
 def exponential_moment_log_bound(dim: int, delta: float) -> float:

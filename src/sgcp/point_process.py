@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accel import interp_apply, interp_multilinear, interp_stencil, trapezoid_weights
+from ._accel import interp_apply, interp_stencil, trapezoid_weights
 
 PATTERN_HEADER_TAG = "resolution-free"
 
@@ -80,13 +80,6 @@ class PointPattern:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def count_in_box(self, lo, hi) -> int:
-        """Number of points in the axis-aligned box [lo, hi) per coordinate."""
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        inside = np.all((self.points >= lo) & (self.points < hi), axis=1)
-        return int(np.count_nonzero(inside))
-
 
 @dataclass(frozen=True)
 class IntensityField:
@@ -124,7 +117,7 @@ class IntensityField:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (n, {self.dim})")
-        return interp_multilinear(self.values, self.dim, self.resolution, pts)
+        return interp_apply(self.values, interp_stencil(self.dim, self.resolution, pts))
 
 
 def simulate_thinning_batch(

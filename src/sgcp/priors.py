@@ -27,6 +27,15 @@ from ._accel import sigmoid
 from .kernels import check_grid, gp_field
 from .point_process import Grid, IntensityField
 
+# the tail validators check their envelopes at PROBE_POINTS log-spaced points
+# of PROBE_WINDOW, whose endpoints are kept exact
+PROBE_WINDOW = (5.0, 100.0)
+PROBE_POINTS = 64
+_PROBE_XS = np.exp(np.linspace(math.log(PROBE_WINDOW[0]), math.log(PROBE_WINDOW[1]),
+                               PROBE_POINTS))
+_PROBE_XS[[0, -1]] = PROBE_WINDOW
+_PROBE_XS.setflags(write=False)
+
 # sup_x |d/dx sqrt(sigmoid(x))|, attained where sigmoid(x) = 1/3
 LOGISTIC_SQRT_LIPSCHITZ = 1.0 / (3.0 * math.sqrt(3.0))
 
@@ -64,6 +73,9 @@ class LengthScalePriorSpec:
         if self.dim < 1:
             raise ValueError("dim must be positive")
         _check_gamma(self.shape, self.rate)
+        if not self.median > 0.0:  # the chain starts at the median's log
+            raise ValueError(f"length-scale prior median underflows to 0 at shape "
+                             f"{self.shape!r} and rate {self.rate!r}")
 
     def log_density(self, ell: float) -> float:
         if ell <= 0.0:
@@ -72,15 +84,13 @@ class LengthScalePriorSpec:
         return (math.log(d) + a * math.log(b) - math.lgamma(a)
                 + (d * a - 1.0) * math.log(ell) - b * ell**d)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draws of ell: d-th roots of gamma draws. Each root is a float
-        ``**``, as for a single draw, so a batch equals as many single draws
-        bit for bit (numpy's array power can differ in the last place)."""
-        y = rng.gamma(self.shape, 1.0 / self.rate, size=size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws of ell: d-th roots of gamma draws. Each root is a float
+        ``**``, so a batch equals as many single draws bit for bit (numpy's
+        array power can differ in the last place)."""
+        y = rng.gamma(self.shape, 1.0 / self.rate, size=n)
         root = 1.0 / self.dim
-        if size is None:
-            return y ** root
-        return np.array([v ** root for v in y.ravel().tolist()]).reshape(y.shape)
+        return np.array([v ** root for v in y.tolist()])
 
     @property
     def median(self) -> float:
@@ -113,8 +123,8 @@ class MaxIntensityPriorSpec:
     def survival(self, x) -> np.ndarray:
         return _sci_special.gammaincc(self.shape, self.rate * np.asarray(x, dtype=np.float64))
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.gamma(self.shape, 1.0 / self.rate, size=n)
 
     @property
     def median(self) -> float:
@@ -126,62 +136,51 @@ class ValidationResult:
     """Outcome of a tail-envelope check; ``witness`` locates the first violation."""
 
     passed: bool
-    witness: float | None = None
-    detail: str = ""
-
-
-def _probe_window(window: tuple[float, float], n_points: int) -> np.ndarray:
-    lo, hi = window
-    if not (0.0 < lo < hi):
-        raise ValueError("probe window must satisfy 0 < lo < hi")
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
-    xs[0], xs[-1] = lo, hi  # keep the stated endpoints exact
-    return xs
+    witness: float | None
+    detail: str
 
 
 @dataclass(frozen=True)
 class LengthScaleTailBounds:
     """Constants of the sandwich
-    c_lower * x^power * exp(-decay_upper * x^d)
+    exp(log_c_lower) * x^power * exp(-decay_upper * x^d)
       <= p(x) <=
-    c_upper * x^power * exp(-decay_lower * x^d).
+    exp(log_c_upper) * x^power * exp(-decay_lower * x^d),
+    the leading constants kept as logs so no gamma shape overflows them.
     """
 
     power: float
     decay_lower: float
     decay_upper: float
-    c_lower: float
-    c_upper: float
+    log_c_lower: float
+    log_c_upper: float
 
 
 def default_length_scale_bounds(spec: LengthScalePriorSpec) -> LengthScaleTailBounds:
     """Envelope constants that provably hold for the gamma-on-ell^d density."""
     d, a, b = spec.dim, spec.shape, spec.rate
-    lead = d * b**a / math.gamma(a)
+    log_lead = math.log(d) + a * math.log(b) - math.lgamma(a)
     return LengthScaleTailBounds(
         power=d * a - 1.0,
         decay_lower=0.5 * b,
         decay_upper=1.5 * b,
-        c_lower=0.5 * lead,
-        c_upper=2.0 * lead,
+        log_c_lower=log_lead - math.log(2.0),
+        log_c_upper=log_lead + math.log(2.0),
     )
 
 
 def validate_length_scale_tail(
-    spec: LengthScalePriorSpec,
-    bounds: LengthScaleTailBounds | None = None,
-    window: tuple[float, float] = (5.0, 100.0),
-    n_points: int = 64,
+    spec: LengthScalePriorSpec, bounds: LengthScaleTailBounds | None = None
 ) -> ValidationResult:
-    """Check the sandwich inequalities pointwise on a log-spaced probe window."""
+    """Check the sandwich inequalities pointwise on the log-spaced probe window."""
     if bounds is None:
         bounds = default_length_scale_bounds(spec)
-    xs = _probe_window(window, n_points)
+    xs = _PROBE_XS
     log_density = np.array([spec.log_density(x) for x in xs.tolist()])
     shape_term = bounds.power * np.log(xs)
     decay_base = xs**spec.dim
-    log_lo = math.log(bounds.c_lower) + shape_term - bounds.decay_upper * decay_base
-    log_hi = math.log(bounds.c_upper) + shape_term - bounds.decay_lower * decay_base
+    log_lo = bounds.log_c_lower + shape_term - bounds.decay_upper * decay_base
+    log_hi = bounds.log_c_upper + shape_term - bounds.decay_lower * decay_base
     below = log_density < log_lo - 1e-9
     above = log_density > log_hi + 1e-9
     if np.any(below):
@@ -194,25 +193,20 @@ def validate_length_scale_tail(
 
 
 def validate_max_intensity_tail(
-    spec: MaxIntensityPriorSpec,
-    c0: float = 10.0,
-    rate: float | None = None,
-    kappa: float = 1.0,
-    window: tuple[float, float] = (5.0, 100.0),
-    n_points: int = 64,
+    spec: MaxIntensityPriorSpec, c0: float = 10.0, rate: float | None = None
 ) -> ValidationResult:
-    """Check ``P(lam* > x) <= c0 * exp(-rate * x^kappa)`` on the probe window.
+    """Check ``P(lam* > x) <= c0 * exp(-rate * x)`` on the probe window.
 
     The default rate is half the gamma rate, which absorbs the polynomial
     factor in the gamma tail.
     """
     if rate is None:
         rate = 0.5 * spec.rate
-    if c0 <= 0.0 or rate <= 0.0 or kappa <= 0.0:
+    if c0 <= 0.0 or rate <= 0.0:
         raise ValueError("tail constants must be positive")
-    xs = _probe_window(window, n_points)
+    xs = _PROBE_XS
     surv = spec.survival(xs)
-    bound = c0 * np.exp(-rate * xs**kappa)
+    bound = c0 * np.exp(-rate * xs)
     bad = surv > bound * (1.0 + 1e-12)
     if np.any(bad):
         x = float(xs[np.argmax(bad)])
@@ -251,30 +245,13 @@ def sample_prior_batch(
     if grid.dim != prior.dim:
         raise ValueError("grid dimension does not match the prior")
     check_grid(grid)
-    ell = prior.ell_prior.sample(rng, size=n)
-    lam_star = prior.lam_prior.sample(rng, size=n)
+    ell = prior.ell_prior.sample(rng, n)
+    lam_star = prior.lam_prior.sample(rng, n)
     white = rng.standard_normal((n, grid.n_nodes))
     g = np.empty_like(white)
     for i, ell_i in enumerate(ell.tolist()):
         g[i] = gp_field(ell_i, grid, white[i])
     return {"ell": ell, "lambda_star": lam_star, "white": white, "latent": g}
-
-
-def sample_prior_intensity(
-    prior: SgcpPrior, grid: Grid, rng: np.random.Generator
-) -> tuple[IntensityField, dict]:
-    """One draw of (ell, lam*, g) pushed through the sigmoid to an intensity field.
-
-    A batch of one of ``sample_prior_batch``, so the draws come from ``rng``
-    in the order ``ell``, ``lam*``, white noise. The returned dict holds all
-    four, ``ell`` and ``lambda_star`` as floats.
-    """
-    draw = sample_prior_batch(prior, grid, rng, 1)
-    ell = float(draw["ell"][0])
-    lam_star = float(draw["lambda_star"][0])
-    g = draw["latent"][0]
-    field = IntensityField(grid, lam_star * sigmoid(g))
-    return field, {"ell": ell, "lambda_star": lam_star, "white": draw["white"][0], "latent": g}
 
 
 @dataclass(frozen=True)
@@ -292,20 +269,23 @@ def prior_small_ball_probability(
     n_mc: int,
     rng: np.random.Generator,
 ) -> list[SmallBallEstimate]:
-    """Monte Carlo estimate of ``P(sup_s |lambda(s) - lambda0(s)| < delta)``.
+    """Monte Carlo estimate of ``P(sup_s |lambda(s) - lambda0(s)| < delta)``,
+    the sup taken over the truth's grid nodes.
 
-    All radii share the same draws, so the estimates are nondecreasing in
-    delta by construction (the events are nested).
+    The ``n_mc`` prior draws are one ``sample_prior_batch``, each pushed
+    forward to ``lam* * sigmoid(g)``. All radii share the same draws, so the
+    estimates are nondecreasing in delta by construction (the events are
+    nested).
     """
     deltas = sorted(float(d) for d in np.atleast_1d(deltas))
     if any(d <= 0.0 for d in deltas):
         raise ValueError("small-ball radii must be positive")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    sup_dist = np.empty(n_mc)
-    for i in range(n_mc):
-        field, _ = sample_prior_intensity(prior, truth.grid, rng)
-        sup_dist[i] = float(np.max(np.abs(field.values - truth.values)))
+    draw = sample_prior_batch(prior, truth.grid, rng, n_mc)
+    fields = sigmoid(draw["latent"])
+    fields *= draw["lambda_star"][:, None]
+    sup_dist = np.max(np.abs(fields - truth.values), axis=1)
     out = []
     for delta in deltas:
         hits = sup_dist < delta

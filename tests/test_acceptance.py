@@ -27,13 +27,12 @@ from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
                   LengthScalePriorSpec, MaxIntensityPriorSpec,
                   ModelState, PointPattern, SgcpPrior,
                   estimate_sqrt_link_lipschitz, geweke_joint_test, get_truth,
-                  prior_small_ball_probability, rng_for, run_chain,
-                  run_contraction_experiment, sample_gp, simulate_thinning,
+                  rng_for, run_chain, run_contraction_experiment, simulate_thinning,
                   sqrt_l2_distance, validate_length_scale_tail,
                   validate_max_intensity_tail)
 from sgcp.cli import main
-from sgcp.kernels import chol_with_jitter, cov_matrix, spectral_covariance_quadrature
-from sgcp.priors import default_length_scale_bounds
+from sgcp.kernels import chol_with_jitter, cov_matrix, gp_field, spectral_covariance_quadrature
+from sgcp.priors import default_length_scale_bounds, prior_small_ball_probability
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..",
                              "benchmarks", "baseline_report.json")
@@ -86,7 +85,7 @@ def test_02_simulation_exactness(report):
     for i in range(n_rep):
         pattern = simulate_thinning(ceiling, truth, rng)
         counts[i] = pattern.n
-        left[i] = pattern.count_in_box(np.array([0.0]), np.array([0.5]))
+        left[i] = np.count_nonzero(pattern.points[:, 0] < 0.5)
     right = counts - left
     kmax = 8  # bins 0..7 plus a >=8 tail; smallest expected count is 11
     observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
@@ -177,8 +176,8 @@ def test_04_distance_correctness(report):
     for k in range(10):
         grid = Grid(1, 33) if k < 5 else Grid(2, 9)
         ell = 1.0 + 0.3 * k
-        a = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
-        b = IntensityField(grid, np.exp(sample_gp(ell, grid, rng)[1]))
+        a = IntensityField(grid, np.exp(gp_field(ell, grid, rng.standard_normal(grid.n_nodes))))
+        b = IntensityField(grid, np.exp(gp_field(ell, grid, rng.standard_normal(grid.n_nodes))))
         d = sqrt_l2_distance(a, b)
         diff = IntensityField(grid, (np.sqrt(a.values) - np.sqrt(b.values)) ** 2)
         pts = rng.random((400000, grid.dim))

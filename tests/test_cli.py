@@ -276,8 +276,10 @@ class TestConfigHandling:
         ("[prior]\nell_rate = inf\n", []),
         ("[experiment]\nradius_constant = inf\n", []),
         ("[chain]\nstep_log_ell = 0.3\n", []),
+        ("[prior]\nell_shape = 1e-300\n", []),
     ], ids=["radius-constant", "design-size", "seed", "lam-shape-nan", "lam-rate-inf",
-            "ell-shape-nan", "ell-rate-inf", "radius-constant-inf", "removed-key"])
+            "ell-shape-nan", "ell-rate-inf", "radius-constant-inf", "removed-key",
+            "ell-median-underflow"])
     def test_out_of_range_value_rejected_by_every_command(self, tmp_path, command, ini, flags):
         cfg = tmp_path / "h.ini"
         cfg.write_text(ini)
@@ -563,6 +565,14 @@ class TestVerifyPriors:
         assert text.count("PASS") == 4
         blob = json.loads((out / "verify.json").read_text())
         assert all(c["passed"] for c in blob["checks"])
+
+    @pytest.mark.parametrize("shape", ["1e8", "1e300"])
+    def test_huge_length_scale_shape_passes(self, tmp_path, capsys, shape):
+        # the envelope's leading constant d b^a / Gamma(a) overflows a float
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(f"[prior]\nell_shape = {shape}\n")
+        assert main(["verify-priors", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_moment_check_passes_at_large_tilt(self, dim, capsys):

@@ -8,12 +8,13 @@ from scipy import integrate, stats
 
 from sgcp import (ChainConfig, Grid, IntensityField, MaxIntensityPriorSpec, ModelState,
                   NumericalError, PointPattern, SgcpPrior, effective_sample_size,
-                  geweke_joint_test, initial_state, integrate_field, log_likelihood, rng_for,
-                  run_chain, sample_prior_intensity, simulate_thinning)
+                  geweke_joint_test, initial_state, integrate_field, rng_for,
+                  run_chain, sample_prior_batch, simulate_thinning)
 import sgcp.inference
 from sgcp._accel import sigmoid
 from sgcp.inference import _GEWEKE_STATS, _Sampler, _forward_stats, cov_matrix
 from sgcp.kernels import apply_factor
+from sgcp.point_process import log_likelihood
 
 
 class TestChainConfig:
@@ -394,9 +395,11 @@ class TestGeweke:
         rng = rng_for(57, 2)
         single = np.empty((4000, 4))
         for i in range(4000):
-            field, latents = sample_prior_intensity(prior, grid, rng)
-            pattern = simulate_thinning(latents["lambda_star"], field, rng)
-            single[i] = (latents["lambda_star"], latents["ell"], integrate_field(field), pattern.n)
+            draw = sample_prior_batch(prior, grid, rng, 1)
+            lam_star = float(draw["lambda_star"][0])
+            field = IntensityField(grid, lam_star * sigmoid(draw["latent"][0]))
+            pattern = simulate_thinning(lam_star, field, rng)
+            single[i] = (lam_star, draw["ell"][0], integrate_field(field), pattern.n)
         for j, col in enumerate((0, 2, 3, 4)):
             p = stats.ks_2samp(blocks[:, col], single[:, j], method="asymp").pvalue
             assert p > 0.01, (_GEWEKE_STATS[col], p)

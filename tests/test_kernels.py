@@ -8,9 +8,9 @@ from scipy import integrate
 from scipy.special import erf
 
 from sgcp import (FactorizationError, Grid, chol_with_jitter, cov_matrix,
-                  exponential_moment_log_bound, kernel_eval, rng_for, sample_gp,
-                  spectral_characteristic, spectral_covariance_quadrature)
-from sgcp.kernels import SPECTRAL_SIGMA, apply_factor
+                  exponential_moment_log_bound, rng_for)
+from sgcp.kernels import (SPECTRAL_SIGMA, apply_factor, gp_field, kernel_eval,
+                          spectral_covariance_quadrature)
 
 
 def _reference_factor(ell, points):
@@ -62,10 +62,6 @@ class TestSpectralQuadrature:
             b = kernel_eval(ell, np.zeros(dim), lag)
             assert a == pytest.approx(b, abs=1e-6)
 
-    def test_symmetric_density_gives_real_transform(self):
-        z = spectral_characteristic(1.4, np.array([0.3, -0.6]))
-        assert abs(z.imag) < 1e-10
-
     def test_lag_shape_checked(self):
         # the lag's length is the dimension, so it must be a non-empty vector
         for lag in (np.array([[0.3, 0.1]]), np.array([])):
@@ -77,7 +73,7 @@ class TestSpectralDensity:
     def test_mass_is_one_by_quadrature(self):
         # the transform at lag 0 is the total mass of the density
         for dim in (1, 2):
-            z = spectral_characteristic(1.0, np.zeros(dim))
+            z = spectral_covariance_quadrature(1.0, np.zeros(dim))
             assert z == pytest.approx(1.0, abs=1e-12)
 
 
@@ -159,7 +155,8 @@ class TestFactorizationAndSampling:
     def test_sample_gp_moments(self):
         grid = Grid(1, 8)
         rng = rng_for(21)
-        draws = np.stack([sample_gp(1.0, grid, rng)[1] for _ in range(3000)])
+        draws = np.stack([gp_field(1.0, grid, rng.standard_normal(grid.n_nodes))
+                          for _ in range(3000)])
         np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.08)
         np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.1)
         # neighbor correlation matches the kernel
@@ -167,15 +164,6 @@ class TestFactorizationAndSampling:
         got = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert got == pytest.approx(want, abs=0.05)
 
-    def test_sample_gp_node_guard(self):
-        with pytest.raises(ValueError):
-            sample_gp(1.0, Grid(2, 70), rng_for(0))
-
-    def test_sample_gp_deterministic(self):
-        white_a, a = sample_gp(1.0, Grid(1, 9), rng_for(33))
-        white_b, b = sample_gp(1.0, Grid(1, 9), rng_for(33))
-        np.testing.assert_array_equal(white_a, white_b)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestFactorPath:
@@ -254,7 +242,8 @@ class TestKroneckerFactor:
     def test_sample_gp_moments_2d(self):
         grid = Grid(2, 5)
         rng = rng_for(22)
-        draws = np.stack([sample_gp(1.0, grid, rng)[1] for _ in range(3000)])
+        draws = np.stack([gp_field(1.0, grid, rng.standard_normal(grid.n_nodes))
+                          for _ in range(3000)])
         np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.08)
         np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.1)
         # neighbours along the last axis (node 1) and the first axis (node 5)

@@ -9,11 +9,11 @@ from scipy import integrate, special, stats
 from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, LengthScalePriorSpec,
                   LengthScaleTailBounds, MaxIntensityPriorSpec, SgcpPrior,
                   default_length_scale_bounds, estimate_sqrt_link_lipschitz,
-                  get_truth, prior_small_ball_probability, rng_for,
-                  sample_prior_batch, sample_prior_intensity, validate_length_scale_tail,
+                  get_truth, rng_for, sample_prior_batch, validate_length_scale_tail,
                   validate_max_intensity_tail)
 from sgcp._accel import sigmoid
 from sgcp.kernels import gp_field
+from sgcp.priors import prior_small_ball_probability
 
 # (shape, rate) pairs at which the gamma medians are compared with scipy.stats
 GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3, 0.7),
@@ -51,6 +51,12 @@ class TestLengthScalePrior:
                         + math.log(dim) + (dim - 1) * math.log(x))
                 assert spec.log_density(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_median_underflow_refused(self):
+        # gammaincinv(a, 1/2) underflows to 0 for shapes below about 1e-3
+        with pytest.raises(ValueError, match=r"shape 1e-300 and rate 1\.0"):
+            LengthScalePriorSpec(dim=1, shape=1e-300)
+        assert LengthScalePriorSpec(dim=1, shape=0.01).median > 0.0
+
     def test_density_rejects_non_positive(self):
         spec = LengthScalePriorSpec(dim=2)
         for x in (0.0, -1.0):
@@ -59,7 +65,7 @@ class TestLengthScalePrior:
 
     def test_sampled_ell_to_the_d_is_gamma(self):
         spec = LengthScalePriorSpec(dim=2, shape=1.0, rate=1.0)
-        draws = spec.sample(rng_for(41), size=4000) ** 2
+        draws = spec.sample(rng_for(41), 4000) ** 2
         p = stats.kstest(draws, stats.gamma(1.0, scale=1.0).cdf).pvalue
         assert p > 0.01
 
@@ -118,7 +124,8 @@ class TestTailValidators:
         # swap: claimed decay faster than the true density's -> upper bound breaks
         broken = LengthScaleTailBounds(
             power=good.power, decay_lower=2.5 * spec.rate,
-            decay_upper=good.decay_upper, c_lower=good.c_lower, c_upper=good.c_upper)
+            decay_upper=good.decay_upper, log_c_lower=good.log_c_lower,
+            log_c_upper=good.log_c_upper)
         res = validate_length_scale_tail(spec, broken)
         assert not res.passed
         assert res.witness is not None and 5.0 <= res.witness <= 100.0
@@ -129,10 +136,19 @@ class TestTailValidators:
         broken = LengthScaleTailBounds(
             power=good.power, decay_lower=good.decay_lower,
             decay_upper=0.25 * spec.rate,  # claims the density stays too large
-            c_lower=good.c_lower, c_upper=good.c_upper)
+            log_c_lower=good.log_c_lower, log_c_upper=good.log_c_upper)
         res = validate_length_scale_tail(spec, broken)
         assert not res.passed
         assert res.witness is not None
+
+    @pytest.mark.parametrize("shape", [1e8, 1e300])
+    def test_length_scale_bounds_finite_at_huge_shape(self, shape):
+        # d b^a / Gamma(a) overflows a float here; its log does not
+        spec = LengthScalePriorSpec(dim=1, shape=shape)
+        bounds = default_length_scale_bounds(spec)
+        assert math.isfinite(bounds.log_c_lower) and math.isfinite(bounds.log_c_upper)
+        res = validate_length_scale_tail(spec, bounds)
+        assert res.passed, res.detail
 
     def test_ceiling_defaults_pass(self):
         res = validate_max_intensity_tail(MaxIntensityPriorSpec())
@@ -150,22 +166,24 @@ class TestTailValidators:
 
 class TestPriorBundle:
     def test_draw_bounded_by_ceiling(self):
-        prior = SgcpPrior(dim=1)
-        field, latents = sample_prior_intensity(prior, Grid(1, 16), rng_for(9))
-        assert np.all(field.values > 0.0)
-        assert np.all(field.values < latents["lambda_star"])
+        draw = sample_prior_batch(SgcpPrior(dim=1), Grid(1, 16), rng_for(9), 1)
+        lam_star = draw["lambda_star"][0]
+        values = lam_star * sigmoid(draw["latent"][0])
+        assert np.all(values > 0.0)
+        assert np.all(values < lam_star)
 
     def test_dim_consistency(self):
         with pytest.raises(ValueError):
             SgcpPrior(dim=2, ell_prior=LengthScalePriorSpec(dim=1))
         with pytest.raises(ValueError):
-            sample_prior_intensity(SgcpPrior(dim=1), Grid(2, 4), rng_for(0))
+            sample_prior_batch(SgcpPrior(dim=1), Grid(2, 4), rng_for(0), 1)
 
     def test_deterministic(self):
         prior = SgcpPrior(dim=1)
-        a, _ = sample_prior_intensity(prior, Grid(1, 8), rng_for(77))
-        b, _ = sample_prior_intensity(prior, Grid(1, 8), rng_for(77))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = sample_prior_batch(prior, Grid(1, 8), rng_for(77), 1)
+        b = sample_prior_batch(prior, Grid(1, 8), rng_for(77), 1)
+        for key in ("ell", "lambda_star", "white", "latent"):
+            np.testing.assert_array_equal(a[key], b[key])
 
     @pytest.mark.parametrize("dim, resolution", [(1, 8), (1, 64), (2, 5), (3, 3)])
     def test_single_draw_is_the_sequential_algorithm_bit_for_bit(self, dim, resolution):
@@ -177,7 +195,7 @@ class TestPriorBundle:
         grid = Grid(dim, resolution)
         rng, ref = rng_for(78, dim, resolution), rng_for(78, dim, resolution)
         for _ in range(25):
-            field, latents = sample_prior_intensity(prior, grid, rng)
+            draw = sample_prior_batch(prior, grid, rng, 1)
             ell = ref.gamma(1.5, 1.0 / 0.7) ** (1.0 / dim)
             lam_star = ref.gamma(0.5, 1.0 / 2.0)
             white = ref.standard_normal(grid.n_nodes)
@@ -190,17 +208,16 @@ class TestPriorBundle:
             for _ in range(dim):
                 g = (L1 @ g.reshape(resolution, -1)).T
             g = g.ravel()
-            assert latents["ell"] == ell and type(latents["ell"]) is float
-            assert latents["lambda_star"] == lam_star
-            assert latents["white"].tobytes() == white.tobytes()
-            assert latents["latent"].tobytes() == g.tobytes()
-            assert field.values.tobytes() == (lam_star * sigmoid(g)).tobytes()
+            assert draw["ell"][0] == ell
+            assert draw["lambda_star"][0] == lam_star
+            assert draw["white"][0].tobytes() == white.tobytes()
+            assert draw["latent"][0].tobytes() == g.tobytes()
         assert rng.random() == ref.random()
 
     def test_node_guard_draws_nothing(self):
         rng = rng_for(80)
         with pytest.raises(ValueError):
-            sample_prior_intensity(SgcpPrior(dim=2), Grid(2, 70), rng)
+            sample_prior_batch(SgcpPrior(dim=2), Grid(2, 70), rng, 1)
         assert rng.random() == rng_for(80).random()
 
     def test_batch_rows_are_the_draws_of_its_arrays(self):
@@ -223,6 +240,17 @@ class TestSmallBall:
         probs = [e.probability for e in ests]
         assert all(p > 0.0 for p in probs)
         assert probs == sorted(probs)
+
+    def test_is_the_sup_distance_of_one_batch(self):
+        prior = SgcpPrior(dim=1)
+        truth = get_truth("sin1d").field(16)
+        deltas = [1.5, 2.0, 2.5]
+        ests = prior_small_ball_probability(prior, truth, deltas, 500, rng_for(99, 7))
+        draw = sample_prior_batch(prior, truth.grid, rng_for(99, 7), 500)
+        fields = draw["lambda_star"][:, None] * sigmoid(draw["latent"])
+        sup = np.max(np.abs(fields - truth.values), axis=1)
+        assert [e.probability for e in ests] == [float(np.mean(sup < d)) for d in deltas]
+        assert all(e.n_mc == 500 for e in ests)
 
     def test_validation(self):
         prior = SgcpPrior(dim=1)
