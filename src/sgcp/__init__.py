@@ -13,8 +13,7 @@ from ._accel import BACKEND
 from .config import (ConfigError, ExperimentConfig, HarnessConfig, load_config, rng_for,
                      seed_fingerprint)
 from .experiment import (CellResult, ContractionReport, count_inversions, fit_rate_slope,
-                         report_to_dict, run_contraction_experiment, write_cells_csv,
-                         write_medians_csv, write_report_json)
+                         run_contraction_experiment, write_cells_csv, write_medians_csv)
 from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         PosteriorChain, effective_sample_size, geweke_joint_test,
                         initial_state, run_chain)

@@ -27,14 +27,13 @@ import numpy as np
 
 from ._accel import BACKEND
 from .config import ConfigError, HarnessConfig, load_config, rng_for
-from .experiment import (FLOAT_FMT, run_contraction_experiment, write_cells_csv,
-                         write_medians_csv, write_report_json)
+from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
 from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
 from .kernels import FactorizationError, exponential_moment_log_bound
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import (DataError, Grid, IntensityField, _write_meta,
-                            integrate_field, read_field_csv, read_pattern_csv,
-                            simulate_thinning, write_field_csv, write_pattern_csv)
+from .point_process import (DataError, Grid, IntensityField, integrate_field, read_field_csv,
+                            read_pattern_csv, simulate_thinning, write_field_csv, write_json,
+                            write_pattern_csv, write_table)
 from .priors import (LOGISTIC_SQRT_LIPSCHITZ, estimate_sqrt_link_lipschitz,
                      validate_length_scale_tail, validate_max_intensity_tail)
 from .truths import get_truth
@@ -44,12 +43,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _ensure_out(args) -> str:
@@ -76,16 +69,6 @@ def _write_chain_jsonl(chain: PosteriorChain, path, fingerprint: str, seed: int)
             }, sort_keys=True) + "\n")
 
 
-def _write_draws_csv(chain: PosteriorChain, path, meta: dict) -> None:
-    """Kept intensity draws as a matrix, one draw per row in node order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_meta(fh, meta)
-        fh.write(f"{chain.grid.dim},{chain.grid.resolution}\n")
-        row_fmt = ",".join([FLOAT_FMT] * chain.grid.n_nodes) + "\n"
-        for row in chain.intensity:
-            fh.write(row_fmt % tuple(row.tolist()))
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -106,7 +89,7 @@ def cmd_simulate(args, cfg: HarnessConfig) -> int:
         write_pattern_csv(pattern, os.path.join(out, f"pattern_{i:04d}.csv"),
                           meta={**file_meta, "index": str(i)})
     write_field_csv(field, os.path.join(out, "truth.csv"), meta=file_meta)
-    _write_json({
+    write_json({
         "ceiling": ceiling,
         "config_fingerprint": cfg.fingerprint(),
         "counts": counts,
@@ -147,7 +130,10 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     write_field_csv(mean_field, os.path.join(out, "posterior_mean.csv"), meta=file_meta)
     _write_chain_jsonl(chain, os.path.join(out, "chain.jsonl"),
                        cfg.fingerprint(), seed)
-    _write_draws_csv(chain, os.path.join(out, "intensity_draws.csv"), file_meta)
+    # the kept intensity draws as a matrix, one draw per row in node order
+    write_table(os.path.join(out, "intensity_draws.csv"), file_meta,
+                (chain.grid.dim, chain.grid.resolution),
+                (row.tolist() for row in chain.intensity))
     summary = {
         "accept_ell": chain.accept_ell,
         "accept_lambda": chain.accept_lambda,
@@ -169,7 +155,7 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         dists = distances_to_truth(chain.intensity, truth)
         summary["distance_mean_to_truth"] = sqrt_l2_distance(mean_field, truth)
         summary["credible_radius_090"] = credible_radius(dists, 0.9)
-    _write_json(summary, os.path.join(out, "fit.json"))
+    write_json(summary, os.path.join(out, "fit.json"))
     print(f"fit {len(patterns)} patterns ({summary['n_points']} points); "
           f"lam* mean {summary['lambda_star_mean']:.4g}, ell mean {summary['ell_mean']:.4g}")
     if "distance_mean_to_truth" in summary:
@@ -210,8 +196,8 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
                                         progress=progress if args.verbose else None)
     out = _ensure_out(args)
     file_meta = {"config": cfg.fingerprint(), "seed": str(exp_cfg.seed)}
-    write_report_json(report, os.path.join(out, "report.json"),
-                      extra={"config_fingerprint": cfg.fingerprint()})
+    write_json({**dataclasses.asdict(report), "config_fingerprint": cfg.fingerprint()},
+               os.path.join(out, "report.json"))
     write_cells_csv(report, os.path.join(out, "cells.csv"), meta=file_meta)
     write_medians_csv(report, os.path.join(out, "medians.csv"), meta=file_meta)
     for i, n in enumerate(report.ns):
@@ -246,7 +232,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
     print(f"rounds completed: {result.n_rounds}; diverged: {result.diverged}")
     if args.out is not None:
         _ensure_out(args)
-        _write_json({
+        write_json({
             "config_fingerprint": cfg.fingerprint(),
             "diverged": result.diverged,
             "mutate": args.mutate,
@@ -289,7 +275,7 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
         all_ok = all_ok and passed
     if args.out is not None:
         _ensure_out(args)
-        _write_json({
+        write_json({
             "checks": [{"detail": d, "name": n, "passed": p,
                         "witness": w} for n, p, d, w in checks],
             "config_fingerprint": cfg.fingerprint(),

@@ -30,9 +30,7 @@ calling process ran.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -40,11 +38,10 @@ from ._pool import run_cells, usable_cpus
 from .config import ExperimentConfig, rng_for, seed_fingerprint
 from .inference import run_chain
 from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import _write_meta, simulate_thinning
+from .point_process import simulate_thinning, write_table
 from .priors import SgcpPrior
 from .truths import get_truth
 
-FLOAT_FMT = "%.17g"
 # synthetic mode's distances lie exactly on SYNTHETIC_CONSTANT * n^-SYNTHETIC_EXPONENT
 SYNTHETIC_CONSTANT = 1.0
 SYNTHETIC_EXPONENT = 0.5
@@ -195,61 +192,11 @@ def run_contraction_experiment(
 # -- serialization ------------------------------------------------------
 
 
-_CELL_FIELDS = ("n", "replicate", "n_points", "distance_mean", "credible_radius_090",
-                "accept_ell", "accept_lambda", "n_eff_ell", "n_eff_lambda_star",
-                "seed_data", "seed_chain")
+def write_cells_csv(report: ContractionReport, path, meta: dict) -> None:
+    write_table(path, meta, [f.name for f in fields(CellResult)], map(astuple, report.cells))
 
 
-def report_to_dict(report: ContractionReport) -> dict:
-    return {
-        "truth": report.truth,
-        "ns": list(report.ns),
-        "replicates": report.replicates,
-        "resolution": report.resolution,
-        "seed": report.seed,
-        "synthetic": report.synthetic,
-        "median_distance": list(report.median_distance),
-        "median_radius": list(report.median_radius),
-        "theory_exponent": report.theory_exponent,
-        "theory_radius": list(report.theory_radius),
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "inversions": report.inversions,
-        "cells": [{f: getattr(c, f) for f in _CELL_FIELDS} for c in report.cells],
-    }
-
-
-def write_report_json(report: ContractionReport, path, extra: dict | None = None) -> None:
-    payload = report_to_dict(report)
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def write_cells_csv(report: ContractionReport, path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(_CELL_FIELDS)
-        for c in report.cells:
-            row = []
-            for f in _CELL_FIELDS:
-                v = getattr(c, f)
-                row.append(FLOAT_FMT % v if isinstance(v, float) else str(v))
-            writer.writerow(row)
-
-
-def write_medians_csv(report: ContractionReport, path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(("n", "median_distance", "median_radius", "theory_radius"))
-        for i, n in enumerate(report.ns):
-            writer.writerow((
-                str(n),
-                FLOAT_FMT % report.median_distance[i],
-                FLOAT_FMT % report.median_radius[i],
-                FLOAT_FMT % report.theory_radius[i],
-            ))
+def write_medians_csv(report: ContractionReport, path, meta: dict) -> None:
+    write_table(path, meta, ("n", "median_distance", "median_radius", "theory_radius"),
+                zip(report.ns, report.median_distance, report.median_radius,
+                    report.theory_radius))

@@ -105,9 +105,14 @@ def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
     is exactly symmetric with an exact unit diagonal and no cancellation. They
     depend only on the points and are cached by their content, so a call on
     points seen before is one multiply and one ``exp`` into a fresh matrix.
+    When ``ell * ell`` overflows, the matrix is the identity that the finite
+    limit gives, not the ``0 * inf`` NaN the product would put on its diagonal.
     """
     points = np.asarray(points, dtype=np.float64)
-    K = _sq_dists(points.shape, points.tobytes()) * -(ell * ell)
+    ell2 = ell * ell
+    if ell2 == math.inf:
+        return np.eye(points.shape[0])
+    K = _sq_dists(points.shape, points.tobytes()) * -ell2
     return np.exp(K, out=K)
 
 
@@ -119,8 +124,10 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     are ill-conditioned enough that a bare factorization is not attempted.
     Each level adds the jitter to the diagonal of a C-ordered copy of ``K``,
     whose transpose is, by symmetry, the Fortran-ordered ``K`` that LAPACK
-    ``dpotrf`` factors in place. Returns the factor and the jitter it needed;
-    raises FactorizationError if every level fails.
+    ``dpotrf`` factors in place, and reports success on a NaN matrix. Returns
+    the factor and the jitter it needed; raises FactorizationError if every
+    level fails, or if the factor is not finite: a NaN anywhere in the lower
+    triangle reaches the last diagonal entry, so that one entry is checked.
     """
     m = K.shape[0]
     jitter = JITTER_START
@@ -129,6 +136,9 @@ def chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
         A.reshape(-1)[::m + 1] += jitter
         L, info = _lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
+            if not math.isfinite(L[m - 1, m - 1]):
+                raise FactorizationError(f"Cholesky factor of the {m}x{m} covariance "
+                                         "is not finite")
             return L, jitter
         jitter *= 10.0
     raise FactorizationError(

@@ -10,6 +10,7 @@ definition.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,8 @@ import numpy as np
 from ._accel import interp_apply, interp_stencil, trapezoid_weights
 
 PATTERN_HEADER_TAG = "resolution-free"
+# the one float format of every CSV table: round-trips a float64 exactly
+FLOAT_FMT = "%.17g"
 
 
 class DataError(ValueError):
@@ -217,7 +220,11 @@ def log_likelihood(patterns, field: IntensityField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV wire formats
+# Output files and the CSV wire formats
+#
+# Every CSV table the commands write goes through write_table and every JSON
+# file through write_json, in UTF-8 with "\n" line endings and floats as
+# FLOAT_FMT.
 #
 # PointPattern: optional leading '#' metadata comments, then the header line
 # "<dim>,resolution-free", then one row per point with dim coordinate columns.
@@ -225,10 +232,32 @@ def log_likelihood(patterns, field: IntensityField) -> float:
 # the grid values one per line in row-major (C) order.
 
 
-def _write_meta(fh, meta: dict | None) -> None:
-    if meta:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
+def _write_meta(fh, meta: dict) -> None:
+    for key in sorted(meta):
+        fh.write(f"# {key}={meta[key]}\n")
+
+
+def write_table(path, meta: dict, header, rows) -> None:
+    """The one CSV table writer: the ``# key=value`` block, the comma-joined
+    ``header``, then one comma-joined line per row, in UTF-8 with ``\\n`` line
+    endings. Floats are written as ``FLOAT_FMT``, everything else as ``str``;
+    the row format is built once, from the types of the first row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_meta(fh, meta)
+        fh.write(",".join(map(str, header)) + "\n")
+        row_fmt = None
+        for row in rows:
+            if row_fmt is None:
+                row_fmt = ",".join(FLOAT_FMT if isinstance(v, float) else "%s"
+                                   for v in row) + "\n"
+            fh.write(row_fmt % tuple(row))
+
+
+def write_json(obj, path) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _data_lines(path: Path):
@@ -247,13 +276,8 @@ def _data_lines(path: Path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def write_pattern_csv(pattern: PointPattern, path, meta: dict | None = None) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        _write_meta(fh, meta)
-        fh.write(f"{pattern.dim},{PATTERN_HEADER_TAG}\n")
-        for row in pattern.points:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+def write_pattern_csv(pattern: PointPattern, path, meta: dict) -> None:
+    write_table(path, meta, (pattern.dim, PATTERN_HEADER_TAG), pattern.points.tolist())
 
 
 def read_pattern_csv(path) -> PointPattern:
@@ -292,13 +316,8 @@ def read_pattern_csv(path) -> PointPattern:
         raise DataError(f"{path}: {exc}")
 
 
-def write_field_csv(field: IntensityField, path, meta: dict | None = None) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        _write_meta(fh, meta)
-        fh.write(f"{field.dim},{field.resolution}\n")
-        for v in field.values:
-            fh.write(format(v, ".17g") + "\n")
+def write_field_csv(field: IntensityField, path, meta: dict) -> None:
+    write_table(path, meta, (field.dim, field.resolution), field.values[:, None].tolist())
 
 
 def read_field_csv(path) -> IntensityField:

@@ -257,8 +257,16 @@ def _dirs_identical(a, b) -> bool:
     return all((a / n).read_bytes() == (b / n).read_bytes() for n in names_a)
 
 
+def _bad_line_endings(directory) -> list:
+    """Files holding a carriage return, or not ending in a newline: every file
+    the commands write is text with ``\\n`` line endings."""
+    return [p.name for p in sorted(directory.iterdir())
+            if b"\r" in (data := p.read_bytes()) or not data.endswith(b"\n")]
+
+
 def test_08_reproducibility(report, tmp_path):
-    """Every command, rerun with the same seed, emits identical bytes."""
+    """Every command, rerun with the same seed, emits identical bytes, and
+    every file it writes ends each line, the last included, in ``\\n``."""
     t0 = time.perf_counter()
     sim = tmp_path / "sim0"
     commands = {
@@ -281,8 +289,12 @@ def test_08_reproducibility(report, tmp_path):
         code_a = main(argv + ["--out", str(first)])
         code_b = main(argv + ["--out", str(second)])
         same = code_a == 0 and code_b == 0 and _dirs_identical(first, second)
-        ok = ok and same
+        bad = _bad_line_endings(first) if same else []
+        ok = ok and same and not bad
         if not same:
             details.append(f"{name} differs (codes {code_a}/{code_b})")
-    detail = "all 6 command reruns byte-identical" if ok else "; ".join(details)
+        if bad:
+            details.append(f"{name} writes a \\r or no final \\n in {', '.join(bad)}")
+    detail = ("all 6 command reruns byte-identical, \\n line endings" if ok
+              else "; ".join(details))
     report(8, "reproducibility", ok, detail, t0)

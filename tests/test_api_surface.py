@@ -33,9 +33,6 @@ SETTABLE = [
     "config.load_config(path)",
     "experiment.run_contraction_experiment(prior)",
     "experiment.run_contraction_experiment(progress)",
-    "experiment.write_cells_csv(meta)",
-    "experiment.write_medians_csv(meta)",
-    "experiment.write_report_json(extra)",
     "inference.ChainConfig.n_burn",
     "inference.ChainConfig.n_iter",
     "inference.ChainConfig.resolution",
@@ -47,8 +44,6 @@ SETTABLE = [
     "inference.geweke_joint_test(sweeps_per_round)",
     "inference.run_chain(init)",
     "metrics.credible_radius(q)",
-    "point_process.write_field_csv(meta)",
-    "point_process.write_pattern_csv(meta)",
     "priors.LengthScalePriorSpec.rate",
     "priors.LengthScalePriorSpec.shape",
     "priors.MaxIntensityPriorSpec.rate",

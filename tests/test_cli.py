@@ -211,7 +211,7 @@ class TestFit:
         data.mkdir()
         for src in sorted(sim_dir.glob("pattern_*.csv")):
             (data / src.name).write_bytes(src.read_bytes())
-        write_field_csv(get_truth("sin2d").field(8), data / "truth.csv")
+        write_field_csv(get_truth("sin2d").field(8), data / "truth.csv", {})
         out = tmp_path / "o6"
         code = main(["fit", "--data", str(data), "--out", str(out),
                      "--n-iter", "100", "--n-burn", "10"])
@@ -286,6 +286,24 @@ class TestConfigHandling:
         out = tmp_path / "x"
         assert main(command + flags + ["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--n-iter", "200", "--n-burn", "50"],
+        ["calibrate", "--rounds", "64", "--resolution", "8", "--sweeps", "1"],
+    ], ids=["fit", "calibrate"])
+    @pytest.mark.parametrize("ini", ["[prior]\nell_shape = 1e300\n",
+                                     "[prior]\nell_rate = 1e-300\n"],
+                             ids=["ell-shape-huge", "ell-rate-tiny"])
+    def test_length_scale_whose_square_overflows_runs(self, sim_dir, tmp_path, capsys,
+                                                      command, ini):
+        # the loader accepts these priors, so the sampler must run on them
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(ini)
+        if command[0] == "fit":
+            command = command + ["--data", str(sim_dir)]
+        code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code in (0, 5)
+        assert "finite numbers" not in capsys.readouterr().err
 
 
 # --baseline files that bench must refuse before it runs, by name under tmp_path

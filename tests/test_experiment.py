@@ -1,5 +1,6 @@
 """Contraction harness: slope fitting, synthetic mode, reports, seeds."""
 
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,9 @@ import pytest
 
 import sgcp.experiment
 from sgcp import (ChainConfig, ExperimentConfig, count_inversions, fit_rate_slope,
-                  get_truth, report_to_dict, run_contraction_experiment,
-                  seed_fingerprint, write_cells_csv, write_medians_csv,
-                  write_report_json)
+                  get_truth, run_contraction_experiment, seed_fingerprint,
+                  write_cells_csv, write_medians_csv)
+from sgcp.point_process import write_json
 
 
 class TestSlopeFit:
@@ -80,7 +81,7 @@ class TestSyntheticMode:
 
     def test_report_dict_round_trips_through_json(self):
         report = run_contraction_experiment(self._config())
-        blob = json.dumps(report_to_dict(report), sort_keys=True)
+        blob = json.dumps(dataclasses.asdict(report), sort_keys=True)
         back = json.loads(blob)
         assert back["slope"] == report.slope
         assert len(back["cells"]) == 12
@@ -91,9 +92,10 @@ class TestWriters:
         cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
                                chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
         report = run_contraction_experiment(cfg)
-        for writer, name in ((write_report_json, "r.json"),
-                             (write_cells_csv, "c.csv"),
-                             (write_medians_csv, "m.csv")):
+        meta = {"origin": "test"}
+        for writer, name in ((lambda r, p: write_json(dataclasses.asdict(r), p), "r.json"),
+                             (lambda r, p: write_cells_csv(r, p, meta), "c.csv"),
+                             (lambda r, p: write_medians_csv(r, p, meta), "m.csv")):
             p1, p2 = tmp_path / ("a_" + name), tmp_path / ("b_" + name)
             writer(report, p1)
             writer(report, p2)
@@ -105,7 +107,7 @@ class TestWriters:
                                chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
         report = run_contraction_experiment(cfg)
         path = tmp_path / "cells.csv"
-        write_cells_csv(report, path)
+        write_cells_csv(report, path, {})
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("n,replicate,")
         assert len(lines) == 1 + 4

@@ -124,6 +124,11 @@ class TestCovMatrix:
         np.testing.assert_array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
 
+    @pytest.mark.parametrize("ell", [1.4e154, 1e300])
+    def test_overflowing_length_scale_gives_the_identity(self, ell):
+        # ell * ell overflows: exp(-inf) is 0 off the diagonal, and the limit is 1 on it
+        np.testing.assert_array_equal(cov_matrix(ell, Grid(2, 4).nodes()), np.eye(16))
+
 
 class TestFactorizationAndSampling:
     def test_chol_reconstructs(self):
@@ -151,6 +156,14 @@ class TestFactorizationAndSampling:
     def test_chol_fails_on_indefinite(self):
         with pytest.raises(FactorizationError):
             chol_with_jitter(-np.eye(4))
+
+    @pytest.mark.parametrize("where", [(0, 0), (2, 2), (4, 4), (3, 1), (4, 0)])
+    def test_chol_refuses_a_non_finite_factor(self, where):
+        # dpotrf reports success on these NaN matrices; the factor must not be returned
+        K = np.eye(5)
+        K[where] = K[where[::-1]] = np.nan
+        with pytest.raises(FactorizationError, match="not finite"):
+            chol_with_jitter(K)
 
     def test_sample_gp_moments(self):
         grid = Grid(1, 8)

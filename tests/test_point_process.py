@@ -213,14 +213,14 @@ class TestCsvFormats:
     def test_empty_pattern_roundtrip(self, tmp_path):
         pat = PointPattern(1, np.empty((0, 1)))
         path = tmp_path / "empty.csv"
-        write_pattern_csv(pat, path)
+        write_pattern_csv(pat, path, {})
         assert read_pattern_csv(path).n == 0
 
     def test_field_roundtrip(self, tmp_path):
         grid = Grid(2, 5)
         field = IntensityField(grid, rng_for(6).random(grid.n_nodes) + 0.5)
         path = tmp_path / "field.csv"
-        write_field_csv(field, path)
+        write_field_csv(field, path, {})
         back = read_field_csv(path)
         assert back.grid == grid
         np.testing.assert_array_equal(back.values, field.values)
@@ -250,6 +250,6 @@ class TestCsvFormats:
     def test_pattern_writes_are_bytewise_stable(self, tmp_path):
         pat = PointPattern(1, rng_for(8).random((9, 1)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_pattern_csv(pat, p1)
-        write_pattern_csv(pat, p2)
+        write_pattern_csv(pat, p1, {})
+        write_pattern_csv(pat, p2, {})
         assert p1.read_bytes() == p2.read_bytes()
