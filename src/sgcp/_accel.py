@@ -36,23 +36,30 @@ def interp_stencil(
     The stencil depends only on the points, so a caller that interpolates many
     fields at fixed points builds it once.
     """
-    n = pts.shape[0]
     x = pts * (resolution - 1)
     floor = np.floor(x)
     np.fmax(floor, 0.0, out=floor)  # in place: np.clip's wrapper dominates small calls
     np.fmin(floor, resolution - 2, out=floor)
     base = floor.astype(np.int64)
     frac = x - floor
-    flat = np.zeros((1 << dim, n), dtype=np.int64)
-    w = np.ones((1 << dim, n))
-    for corner in range(1 << dim):
-        stride = 1
-        for a in range(dim - 1, -1, -1):
-            bit = (corner >> a) & 1
-            w[corner] *= frac[:, a] if bit else 1.0 - frac[:, a]
-            flat[corner] += (base[:, a] + bit) * stride
-            stride *= resolution
+    bits, strides = _corner_table(dim, resolution)
+    flat = np.add.outer(bits @ strides, base @ strides)
+    lohi = np.stack((1.0 - frac, frac))  # (2, n, dim): each axis's weight at bit 0 and 1
+    w = lohi[bits[:, dim - 1], :, dim - 1]
+    for a in range(dim - 2, -1, -1):  # each corner's weight multiplies axis d-1 first
+        w *= lohi[bits[:, a], :, a]
     return flat, w
+
+
+@lru_cache(maxsize=32)
+def _corner_table(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bits, strides)``: bit ``a`` of corner ``c`` at ``bits[c, a]``, and
+    the flat C-order stride of each axis."""
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    strides = resolution ** np.arange(dim - 1, -1, -1)
+    bits.setflags(write=False)
+    strides.setflags(write=False)
+    return bits, strides
 
 
 def interp_apply(values: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -50,6 +50,11 @@ def _ensure_out(args) -> str:
     return args.out
 
 
+def _json_number(value: float) -> float | None:
+    """A float as JSON can hold it: ``null`` for a value that is not finite."""
+    return value if math.isfinite(value) else None
+
+
 def _write_chain_jsonl(chain: PosteriorChain, path, fingerprint: str, seed: int) -> None:
     """Per-draw chain records; the first line is a metadata record."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -121,9 +126,8 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     truth = read_field_csv(truth_path) if os.path.exists(truth_path) else None
     if truth is not None and truth.dim != dim:
         raise DataError(f"{truth_path} is {truth.dim}-D but the patterns are {dim}-D")
-    prior = cfg.prior(dim)
-    seed, chain_cfg = cfg.experiment.seed, cfg.experiment.chain
-    chain = run_chain(patterns, prior, chain_cfg, rng_for(seed, 1))
+    seed, grid = cfg.experiment.seed, Grid(dim, cfg.experiment.resolution)
+    chain = run_chain(patterns, cfg.prior(dim), grid, cfg.experiment.chain, rng_for(seed, 1))
     out = _ensure_out(args)
     file_meta = {"config": cfg.fingerprint(), "seed": str(seed)}
     mean_field = chain.mean_intensity()
@@ -141,12 +145,12 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         "config_fingerprint": cfg.fingerprint(),
         "ell_mean": float(np.mean(chain.ell)),
         "lambda_star_mean": float(np.mean(chain.lambda_star)),
-        "n_eff_ell": chain.diagnostics["n_eff_ell"],
-        "n_eff_lambda_star": chain.diagnostics["n_eff_lambda_star"],
+        "n_eff_ell": _json_number(chain.diagnostics["n_eff_ell"]),
+        "n_eff_lambda_star": _json_number(chain.diagnostics["n_eff_lambda_star"]),
         "n_kept": chain.n_kept,
         "n_patterns": len(patterns),
         "n_points": int(sum(p.n for p in patterns)),
-        "resolution": chain_cfg.resolution,
+        "resolution": grid.resolution,
         "seed": seed,
     }
     if truth is not None:
@@ -239,8 +243,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
             "n_rounds": result.n_rounds,
             "resolution": args.resolution,
             "seed": cfg.experiment.seed,
-            "z_scores": {k: (None if not math.isfinite(v) else v)
-                         for k, v in result.z_scores.items()},
+            "z_scores": {k: _json_number(v) for k, v in result.z_scores.items()},
         }, os.path.join(args.out, "calibrate.json"))
     ok = (not result.diverged) and result.max_abs_z < args.z_threshold
     print("CALIBRATION " + ("PASS" if ok else "FAIL")

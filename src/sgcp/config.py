@@ -1,14 +1,16 @@
 """Harness configuration: the config types, INI files, flag overrides, and seeds.
 
 Configuration lives in an INI file with three sections (``experiment``,
-``chain``, ``prior``); every key has a default, so an empty or absent file is
-valid. Command-line flags are merged as ``section.key`` overrides before
-parsing, keeping one validation path. ``load_config`` parses each value as the
-type of the field it fills: ``[chain]`` becomes a ``ChainConfig``,
-``[experiment]`` the ``ExperimentConfig`` that holds it, and ``[prior]`` the
-hyperparameters of ``HarnessConfig``. The dataclasses check their own values,
-so an out-of-range setting is refused at load time by every command. The
-default master seed is a fixed constant — never the clock — so every run is
+``chain``, ``prior``); a key the file leaves out takes the default of the
+dataclass field it fills, so an empty or absent file is valid. Command-line
+flags are merged as ``section.key`` overrides before parsing, keeping one
+validation path. ``load_config`` parses each value as the type of the field it
+fills: ``[chain]`` becomes a ``ChainConfig``, ``[experiment]`` the
+``ExperimentConfig`` that holds it, and ``[prior]`` the hyperparameters of
+``HarnessConfig``, whose defaults are those of ``LengthScalePriorSpec`` and
+``MaxIntensityPriorSpec``. The dataclasses check their own values, so an
+out-of-range setting is refused at load time by every command. The default
+master seed is a fixed constant — never the clock — so every run is
 reproducible unless the caller asks otherwise.
 
 Independent random streams are derived from the master seed through a spawn
@@ -21,7 +23,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,26 +35,19 @@ class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
 
 
-_DEFAULTS = {
-    "experiment": {
-        "truth": "sin1d",
-        "ns": "25, 50, 100, 200, 400",
-        "replicates": "8",
-        "resolution": "64",
-        "seed": "20240601",
-        "radius_constant": "2.0",
-    },
-    "chain": {
-        "n_iter": "20000",
-        "n_burn": "5000",
-        "thin": "5",
-    },
-    "prior": {
-        "ell_shape": "1.0",
-        "ell_rate": "1.0",
-        "lam_shape": "2.0",
-        "lam_rate": "1.0",
-    },
+# [prior] key -> the prior spec field whose default it takes
+_PRIOR_FIELDS = {
+    "ell_shape": (LengthScalePriorSpec, "shape"),
+    "ell_rate": (LengthScalePriorSpec, "rate"),
+    "lam_shape": (MaxIntensityPriorSpec, "shape"),
+    "lam_rate": (MaxIntensityPriorSpec, "rate"),
+}
+
+# the keys of each INI section
+_KEYS = {
+    "experiment": ("truth", "ns", "replicates", "resolution", "seed", "radius_constant"),
+    "chain": ("n_iter", "n_burn", "thin"),
+    "prior": tuple(_PRIOR_FIELDS),
 }
 
 
@@ -104,7 +99,8 @@ def _from_section(cls, section: str, values: dict, **given):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Design of one contraction run; ``chain`` runs at the design's resolution."""
+    """Design of one contraction run. Each cell's ``chain`` runs on the
+    truth's grid, ``resolution`` nodes per axis."""
 
     truth: str = "sin1d"
     ns: tuple = (25, 50, 100, 200, 400)
@@ -126,8 +122,8 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if not 0.0 < self.radius_constant < math.inf:
             raise ValueError("radius constant must be a positive finite number")
-        if self.chain.resolution != self.resolution:
-            object.__setattr__(self, "chain", replace(self.chain, resolution=self.resolution))
+        if self.resolution < 2:
+            raise ValueError("resolution must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -163,14 +159,15 @@ class HarnessConfig:
         """
         owners = {"experiment": self.experiment, "chain": self.experiment.chain, "prior": self}
         pairs = sorted((f"{sec}.{key}", _canonical(getattr(owners[sec], key)))
-                       for sec, keys in _DEFAULTS.items() for key in keys)
+                       for sec, keys in _KEYS.items() for key in keys)
         text = "\n".join(f"{k}={v}" for k, v in pairs)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> HarnessConfig:
-    """Merge defaults, an optional INI file, and ``section.key`` overrides."""
-    merged = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    """Merge an optional INI file and ``section.key`` overrides over the
+    dataclass defaults."""
+    merged = {sec: {} for sec in _KEYS}
 
     if path is not None:
         # '#' after whitespace starts a comment, as in the README's example file
@@ -185,13 +182,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
             if section not in merged:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in merged[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
                 merged[section][key] = value
 
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in merged or key not in merged[section]:
+        if key not in _KEYS.get(section, ()):
             raise ConfigError(f"unknown config key {dotted}")
         merged[section][key] = str(value)
 
@@ -201,6 +198,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Harne
                                    chain=chain)
     except ValueError as e:  # the dataclasses' own checks
         raise ConfigError(str(e)) from None
-    cfg = _from_section(HarnessConfig, "prior", merged["prior"], experiment=experiment)
+    prior_defaults = {key: getattr(cls, name) for key, (cls, name) in _PRIOR_FIELDS.items()}
+    cfg = _from_section(HarnessConfig, "prior", merged["prior"], experiment=experiment,
+                        **prior_defaults)
     cfg.prior(1)  # fail fast on hyperparameters the prior would reject
     return cfg

@@ -118,7 +118,7 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     data_rng = rng_for(config.seed, i_n, rep, 0)
     patterns = [simulate_thinning(ceiling, truth, data_rng) for _ in range(n)]
     chain_rng = rng_for(config.seed, i_n, rep, 1)
-    chain = run_chain(patterns, prior, config.chain, chain_rng)
+    chain = run_chain(patterns, prior, truth.grid, config.chain, chain_rng)
     dists = distances_to_truth(chain.intensity, truth)
     return CellResult(
         n=n,

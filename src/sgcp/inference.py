@@ -62,6 +62,11 @@ MIN_ROUNDS = 2 * N_BATCHES
 CHAINED_SEGMENTS = 2
 # a chained ceiling above this reports the calibration run as diverged
 LAMBDA_CAP = 1e5
+# the joint test refuses a ceiling prior with more mass than this above
+# LAMBDA_CAP: under a correct kernel the chained ceiling lies above the cap in
+# about this share of rounds (0.05 rounds expected in a 50000-round run), and
+# the forward side's thinning allocates candidates in proportion to the ceiling
+MAX_MASS_ABOVE_CAP = 1e-6
 # the calibration's forward rounds are drawn in blocks of at most this many
 # field values (and at least one round), so memory does not grow with rounds;
 # at 2^12 a block's arrays stay below the (n_rounds, 6) statistics of 4000 rounds
@@ -85,7 +90,6 @@ class ChainConfig:
     n_iter: int = 20000
     n_burn: int = 5000
     thin: int = 5
-    resolution: int = 64
     update_hyperparameters: bool = True
 
     def __post_init__(self):
@@ -93,8 +97,6 @@ class ChainConfig:
             raise ValueError("need 0 <= n_burn < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
 
 
 @dataclass
@@ -133,11 +135,20 @@ class PosteriorChain:
 
 
 def effective_sample_size(x: np.ndarray) -> float:
-    """Initial-positive-sequence autocorrelation estimate of the ESS."""
+    """Initial-positive-sequence autocorrelation estimate of the ESS; NaN for
+    a series with a non-finite value. The ESS does not depend on scale, so the
+    series is first scaled by the power of two that puts its largest magnitude
+    in [0.5, 1): exact, so no bit moves where its squares stay in the float
+    range, and they stay in it where they would overflow or underflow."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
+    if not np.isfinite(x).all():
+        return math.nan
     if n < 4:
         return float(n)
+    peak = float(np.max(np.abs(x)))
+    if peak > 0.0:
+        x = np.ldexp(x, -math.frexp(peak)[1])
     x = x - np.mean(x)
     var = float(np.dot(x, x)) / n
     if var <= 0.0:
@@ -406,12 +417,12 @@ def initial_state(prior: SgcpPrior, grid: Grid, patterns: list[PointPattern]) ->
 def run_chain(
     patterns: list[PointPattern],
     prior: SgcpPrior,
+    grid: Grid,
     config: ChainConfig,
     rng: np.random.Generator,
     init: ModelState | None = None,
 ) -> PosteriorChain:
-    """Sample the posterior over (g, ell, lam*) given replicated patterns."""
-    grid = Grid(prior.dim, config.resolution)
+    """Sample the posterior over (g, ell, lam*) on ``grid`` given replicated patterns."""
     sampler = _Sampler(prior, grid, config)
     sampler.set_data(patterns)
     sampler.set_state(init.copy() if init is not None else initial_state(prior, grid, patterns))
@@ -563,8 +574,8 @@ def geweke_joint_test(
     prior: SgcpPrior,
     grid: Grid,
     rng: np.random.Generator,
-    n_rounds: int = 50000,
-    sweeps_per_round: int = 5,
+    n_rounds: int,
+    sweeps_per_round: int,
     mutate_drop_integral: bool = False,
 ) -> GewekeResult:
     """Joint distribution check of the sampler against the generative model.
@@ -578,7 +589,9 @@ def geweke_joint_test(
     batch-means standard errors, so at least ``MIN_ROUNDS`` rounds are
     required. A ceiling excursion above ``LAMBDA_CAP`` reports divergence
     outright — under a correct kernel the prior puts vanishing mass there,
-    while broken kernels drift through it quickly.
+    while broken kernels drift through it quickly. A ceiling prior with more
+    than ``MAX_MASS_ABOVE_CAP`` of its mass above the cap is refused with a
+    ``ValueError`` before any draw.
 
     The chained side is ``CHAINED_SEGMENTS`` independent chains: segment
     ``k`` runs rounds ``n_rounds * k // CHAINED_SEGMENTS`` up to the next
@@ -598,7 +611,14 @@ def geweke_joint_test(
     if grid.dim != prior.dim:
         raise ValueError("grid dimension does not match the prior")
     check_grid(grid)  # before any draw or fork
-    config = ChainConfig(resolution=grid.resolution)
+    lam = prior.lam_prior
+    above_cap = float(lam.survival(LAMBDA_CAP))
+    if not above_cap <= MAX_MASS_ABOVE_CAP:
+        raise ValueError(
+            f"the ceiling prior Gamma(shape {lam.shape!r}, rate {lam.rate!r}) puts mass "
+            f"{above_cap:.3g} above LAMBDA_CAP = {LAMBDA_CAP:g}, where the joint test reports "
+            f"divergence; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
+    config = ChainConfig()
 
     forward = _forward_stats(prior, grid, rng, n_rounds)
 

@@ -72,6 +72,21 @@ def test_interp_stencil_matches_clipped_integer_floor(dim, resolution):
     np.testing.assert_array_equal(got_flat, want_flat)
     assert got_w.tobytes() == want_w.tobytes()
 
+@pytest.mark.parametrize("n", [0, 1, 759])
+@pytest.mark.parametrize("dim, resolution", [(1, 64), (2, 16), (3, 5)])
+def test_interp_stencil_matches_per_corner_loop(dim, resolution, n):
+    # every corner's weight multiplies its axes from d-1 down to 0, as the loop does
+    pts = np.random.default_rng(20 + n).random((n, dim))
+    pts[1::5] = 1.0  # the far corner, and the far face of axis 0
+    pts[2::5, 0] = 1.0
+    got_flat, got_w = interp_stencil(dim, resolution, pts)
+    want_flat, want_w = _clipped_int_stencil(dim, resolution, pts)
+    assert got_flat.shape == want_flat.shape == (1 << dim, n)
+    assert got_flat.dtype == want_flat.dtype
+    np.testing.assert_array_equal(got_flat, want_flat)
+    assert got_w.tobytes() == want_w.tobytes()
+
+
 def test_suffstats_underflow_at_a_data_point_is_minus_inf():
     # sigmoid(-800) underflows to exactly 0; its log must read -inf, quietly
     g = np.full(8, -800.0)

@@ -108,8 +108,8 @@ def test_03_mcmc_correctness(report):
     prior = SgcpPrior(dim=1)
 
     # (a) with no data the chain must reproduce the prior marginals
-    cfg = ChainConfig(n_iter=35000, n_burn=5000, thin=10, resolution=16)
-    chain = run_chain([], prior, cfg, rng_for(42))
+    cfg = ChainConfig(n_iter=35000, n_burn=5000, thin=10)
+    chain = run_chain([], prior, Grid(1, 16), cfg, rng_for(42))
     p_values = [
         stats.kstest(chain.lambda_star, stats.gamma(2.0, scale=1.0).cdf).pvalue,
         stats.kstest(chain.ell, stats.gamma(1.0, scale=1.0).cdf).pvalue,
@@ -145,10 +145,9 @@ def test_03_mcmc_correctness(report):
     post /= post.sum()
     mean_oracle = post @ G
     var_oracle = post @ (G - mean_oracle) ** 2
-    fixed = ChainConfig(n_iter=60000, n_burn=5000, thin=5, resolution=3,
-                        update_hyperparameters=False)
+    fixed = ChainConfig(n_iter=60000, n_burn=5000, thin=5, update_hyperparameters=False)
     init = ModelState(np.zeros(3), math.log(ell), math.log(lam_star))
-    oracle_chain = run_chain([pattern], prior, fixed, rng_for(7, 3), init=init)
+    oracle_chain = run_chain([pattern], prior, grid, fixed, rng_for(7, 3), init=init)
     mean_err = float(np.abs(oracle_chain.latent.mean(axis=0) - mean_oracle).max())
     var_err = float(np.abs(oracle_chain.latent.var(axis=0) - var_oracle).max())
 

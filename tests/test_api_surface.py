@@ -35,13 +35,10 @@ SETTABLE = [
     "experiment.run_contraction_experiment(progress)",
     "inference.ChainConfig.n_burn",
     "inference.ChainConfig.n_iter",
-    "inference.ChainConfig.resolution",
     "inference.ChainConfig.thin",
     "inference.ChainConfig.update_hyperparameters",
     "inference._Sampler.__init__(mutate_drop_integral)",
     "inference.geweke_joint_test(mutate_drop_integral)",
-    "inference.geweke_joint_test(n_rounds)",
-    "inference.geweke_joint_test(sweeps_per_round)",
     "inference.run_chain(init)",
     "metrics.credible_radius(q)",
     "priors.LengthScalePriorSpec.rate",

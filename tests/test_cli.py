@@ -88,6 +88,16 @@ class TestFit:
         field = read_field_csv(out1 / "posterior_mean.csv")
         assert field.grid.resolution == 16
 
+    def test_unmeasurable_ess_written_as_null(self, sim_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(inference, "effective_sample_size", lambda x: math.nan)
+        out = tmp_path / "f"
+        assert main(["fit", "--data", str(sim_dir), "--out", str(out),
+                     "--n-iter", "60", "--n-burn", "10", "--resolution", "16"]) == 0
+        text = (out / "fit.json").read_text()
+        assert "NaN" not in text
+        summary = json.loads(text)
+        assert summary["n_eff_ell"] is None and summary["n_eff_lambda_star"] is None
+
     def test_fit_2d_and_repeat(self, tmp_path):
         data = tmp_path / "sim2d"
         assert main(["simulate", "--out", str(data), "--n", "10", "--truth", "sin2d",
@@ -561,7 +571,8 @@ class TestCalibrateSegmentSplit:
         monkeypatch.setattr(inference, "simulate_thinning", simulate_thinning)
         _cpus(monkeypatch, 2)
         with pytest.raises(NumericalError, match="broken in a child"):
-            geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(17, 7), n_rounds=64)
+            geweke_joint_test(SgcpPrior(dim=1), Grid(1, 8), rng_for(17, 7), n_rounds=64,
+                              sweeps_per_round=5)
         assert _no_child_left()
 
     def test_oversized_grid_refused_before_any_draw_or_fork(self, monkeypatch, capsys):
@@ -571,6 +582,25 @@ class TestCalibrateSegmentSplit:
         monkeypatch.setattr(inference, "_forward_stats", lambda *a: drawn.append(a))
         assert main(["calibrate", "--dim", "4", "--resolution", "16", "--rounds", "64"]) == 2
         assert "guarded at 4096" in capsys.readouterr().err
+        assert not forks and not drawn
+
+
+    @pytest.mark.parametrize("shape, rate", [("1e30", "1e-30"), ("1e8", "1e-8"), ("2", "1e-4")],
+                             ids=["ceiling-1e30", "ceiling-1e8", "ceiling-mean-2e4"])
+    def test_ceiling_prior_above_the_cap_refused_before_any_draw_or_fork(
+            self, monkeypatch, capsys, tmp_path, shape, rate):
+        # the loader accepts these priors, but each puts more than 1e-6 of its
+        # mass where the joint test reports divergence; at the 1e8 prior the
+        # forward side would thin about 1e8 candidates per round
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        drawn = []
+        monkeypatch.setattr(inference, "_forward_stats", lambda *a: drawn.append(a))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[prior]\nlam_shape = {shape}\nlam_rate = {rate}\n")
+        assert main(["calibrate", "--config", str(cfg), "--rounds", "64",
+                     "--resolution", "8", "--sweeps", "1"]) == 2
+        assert "above LAMBDA_CAP = 100000" in capsys.readouterr().err
         assert not forks and not drawn
 
 

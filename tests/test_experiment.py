@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import sgcp.experiment
-from sgcp import (ChainConfig, ExperimentConfig, count_inversions, fit_rate_slope,
+from sgcp import (ChainConfig, ExperimentConfig, Grid, count_inversions, fit_rate_slope,
                   get_truth, run_contraction_experiment, seed_fingerprint,
                   write_cells_csv, write_medians_csv)
 from sgcp.point_process import write_json
@@ -56,7 +57,7 @@ class TestSyntheticMode:
     def _config(self):
         return ExperimentConfig(
             ns=(25, 50, 100, 200), replicates=3, synthetic=True,
-            chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
+            chain=ChainConfig(n_iter=10, n_burn=1))
 
     def test_recovers_injected_exponent_exactly(self):
         report = run_contraction_experiment(self._config())
@@ -74,7 +75,7 @@ class TestSyntheticMode:
         # 18000 four-byte hand-out records overflow a 64 KiB pipe: the queue is fed,
         # not filled up front, so the design still runs, every cell once and in order
         cfg = ExperimentConfig(ns=(25, 50), replicates=9000, synthetic=True,
-                               chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
+                               chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg)
         assert [(c.n, c.replicate) for c in report.cells] == \
             [(n, rep) for n in (25, 50) for rep in range(9000)]
@@ -90,7 +91,7 @@ class TestSyntheticMode:
 class TestWriters:
     def test_files_deterministic(self, tmp_path):
         cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
-                               chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
+                               chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg)
         meta = {"origin": "test"}
         for writer, name in ((lambda r, p: write_json(dataclasses.asdict(r), p), "r.json"),
@@ -104,7 +105,7 @@ class TestWriters:
 
     def test_cells_csv_parses(self, tmp_path):
         cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
-                               chain=ChainConfig(n_iter=10, n_burn=1, resolution=64))
+                               chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg)
         path = tmp_path / "cells.csv"
         write_cells_csv(report, path, {})
@@ -120,7 +121,7 @@ class TestEndToEndTiny:
     def test_real_sampler_cells(self):
         cfg = ExperimentConfig(
             truth="sin1d", ns=(5, 10), replicates=1, resolution=8, seed=77,
-            chain=ChainConfig(n_iter=400, n_burn=100, thin=4, resolution=8))
+            chain=ChainConfig(n_iter=400, n_burn=100, thin=4))
         report = run_contraction_experiment(cfg)
         assert len(report.cells) == 2
         for cell in report.cells:
@@ -137,9 +138,21 @@ class TestEndToEndTiny:
         with pytest.raises(ValueError):
             ExperimentConfig(replicates=0)
 
-    def test_resolution_propagates_to_chain(self):
-        cfg = ExperimentConfig(resolution=16)
-        assert cfg.chain.resolution == 16
+    def test_each_cell_chain_runs_on_the_experiment_grid(self, monkeypatch):
+        # one CPU, so every cell runs in this process, where the patch records it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        grids, real_run_chain = [], sgcp.experiment.run_chain
+
+        def run_chain(patterns, prior, grid, config, rng):
+            grids.append(grid)
+            return real_run_chain(patterns, prior, grid, config, rng)
+
+        monkeypatch.setattr(sgcp.experiment, "run_chain", run_chain)
+        cfg = ExperimentConfig(ns=(2, 3), replicates=2, resolution=16,
+                               chain=ChainConfig(n_iter=4, n_burn=1))
+        run_contraction_experiment(cfg)
+        assert grids == [Grid(1, 16)] * 4
 
     def test_unknown_truth_rejected(self):
         with pytest.raises(ValueError):

@@ -46,12 +46,27 @@ class TestEffectiveSampleSize:
     def test_constant_series(self):
         assert effective_sample_size(np.ones(100)) == 100.0
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_scale_free_where_the_sum_of_squares_leaves_the_float_range(self, scale):
+        # a random walk keeps its few effective draws at any scale: neither an
+        # overflow nor an underflow of its squares reads as a perfect ESS of n
+        x = np.cumsum(rng_for(3).standard_normal(600))
+        n_eff = effective_sample_size(x)
+        assert n_eff < 20.0
+        assert effective_sample_size(x * scale) == pytest.approx(n_eff, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_gives_nan(self, bad):
+        x = np.append(np.cumsum(rng_for(3).standard_normal(600)), bad)
+        assert math.isnan(effective_sample_size(x))
+        assert math.isnan(effective_sample_size(np.array([1.0, bad])))
+
 
 class TestSamplerInternals:
     def _make(self, patterns=()):
         prior = SgcpPrior(dim=1)
         grid = Grid(1, 9)
-        cfg = ChainConfig(n_iter=10, n_burn=1, resolution=9)
+        cfg = ChainConfig(n_iter=10, n_burn=1)
         s = _Sampler(prior, grid, cfg)
         s.set_data(list(patterns))
         s.set_state(ModelState(np.zeros(9), 0.0, math.log(2.0)))
@@ -114,7 +129,7 @@ class TestSamplerInternals:
         from sgcp import simulate_thinning
         rng = rng_for(16, 0)
         pats = [simulate_thinning(5.0, truth, rng) for _ in range(20)]
-        s = _Sampler(prior, grid, ChainConfig(resolution=32, update_hyperparameters=False))
+        s = _Sampler(prior, grid, ChainConfig(update_hyperparameters=False))
         s.set_data(pats)
         s.set_state(initial_state(prior, grid, pats))
         rng = rng_for(16, 1)
@@ -138,7 +153,7 @@ class TestCollapsedCeiling:
                 PointPattern(1, np.array([[0.05], [0.4], [0.77]]))]
 
     def _make(self, white):
-        s = _Sampler(SgcpPrior(dim=1), Grid(1, 9), ChainConfig(n_iter=10, n_burn=1, resolution=9))
+        s = _Sampler(SgcpPrior(dim=1), Grid(1, 9), ChainConfig(n_iter=10, n_burn=1))
         s.set_data(self.PATTERNS)
         s.set_state(ModelState(white, 0.0, math.log(2.0)))
         return s
@@ -185,7 +200,7 @@ class TestCollapsedCeiling:
     def _log_ceiling_draws(shape, n_draws):
         # no points, so the posterior shape a + N is the prior shape
         prior = SgcpPrior(dim=1, lam_prior=MaxIntensityPriorSpec(shape=shape))
-        s = _Sampler(prior, Grid(1, 9), ChainConfig(n_iter=10, n_burn=1, resolution=9))
+        s = _Sampler(prior, Grid(1, 9), ChainConfig(n_iter=10, n_burn=1))
         s.set_data([PointPattern(1, np.empty((0, 1)))])
         s.set_state(ModelState(rng_for(25).standard_normal(9), 0.0, 0.0))
         rng = rng_for(26)
@@ -262,16 +277,16 @@ class TestRunChain:
         from sgcp import simulate_thinning
         rng = rng_for(4, 0)
         pats = [simulate_thinning(2.0, truth, rng) for _ in range(10)]
-        cfg = ChainConfig(n_iter=800, n_burn=200, thin=2, resolution=8)
-        a = run_chain(pats, prior, cfg, rng_for(4, 1))
-        b = run_chain(pats, prior, cfg, rng_for(4, 1))
+        cfg = ChainConfig(n_iter=800, n_burn=200, thin=2)
+        a = run_chain(pats, prior, Grid(1, 8), cfg, rng_for(4, 1))
+        b = run_chain(pats, prior, Grid(1, 8), cfg, rng_for(4, 1))
         np.testing.assert_array_equal(a.lambda_star, b.lambda_star)
         np.testing.assert_array_equal(a.latent, b.latent)
 
     def test_shapes_and_ranges(self):
         prior = SgcpPrior(dim=1)
-        cfg = ChainConfig(n_iter=600, n_burn=100, thin=5, resolution=8)
-        chain = run_chain([], prior, cfg, rng_for(5))
+        cfg = ChainConfig(n_iter=600, n_burn=100, thin=5)
+        chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(5))
         assert chain.n_kept == 100
         assert chain.latent.shape == (100, 8)
         assert np.all(chain.ell > 0.0)
@@ -282,7 +297,7 @@ class TestRunChain:
     def test_dense_size_guard(self):
         # 70 x 70 = 4900 nodes: the sampler refuses the grid before filling a covariance
         with pytest.raises(ValueError, match="4900 nodes"):
-            _Sampler(SgcpPrior(dim=2), Grid(2, 70), ChainConfig(resolution=70))
+            _Sampler(SgcpPrior(dim=2), Grid(2, 70), ChainConfig())
 
     def test_short_chain_is_scratch_checked(self, monkeypatch):
         calls = []
@@ -293,8 +308,8 @@ class TestRunChain:
             return check(self, *args, **kwargs)
 
         monkeypatch.setattr(_Sampler, "scratch_check", spy)
-        cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8)
-        run_chain([], SgcpPrior(dim=1), cfg, rng_for(9))
+        cfg = ChainConfig(n_iter=300, n_burn=50)
+        run_chain([], SgcpPrior(dim=1), Grid(1, 8), cfg, rng_for(9))
         assert len(calls) == 1
 
     def test_2d_chain_factors_one_axis(self, monkeypatch):
@@ -311,17 +326,17 @@ class TestRunChain:
         from sgcp import simulate_thinning
         rng = rng_for(10, 0)
         pats = [simulate_thinning(3.0, truth, rng) for _ in range(5)]
-        cfg = ChainConfig(n_iter=60, n_burn=20, resolution=6)
-        chain = run_chain(pats, SgcpPrior(dim=2), cfg, rng_for(10, 1))
+        cfg = ChainConfig(n_iter=60, n_burn=20)
+        chain = run_chain(pats, SgcpPrior(dim=2), Grid(2, 6), cfg, rng_for(10, 1))
         assert chain.latent.shape[1] == 36
         assert len(shapes) > 1
         assert set(shapes) == {(6, 1)}
 
     def test_fixed_hyperparameters_stay_fixed(self):
         prior = SgcpPrior(dim=1)
-        cfg = ChainConfig(n_iter=300, n_burn=50, resolution=8, update_hyperparameters=False)
+        cfg = ChainConfig(n_iter=300, n_burn=50, update_hyperparameters=False)
         init = ModelState(np.zeros(8), math.log(1.3), math.log(4.0))
-        chain = run_chain([], prior, cfg, rng_for(6), init=init)
+        chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(6), init=init)
         np.testing.assert_allclose(chain.ell, 1.3, rtol=1e-12)
         np.testing.assert_allclose(chain.lambda_star, 4.0, rtol=1e-12)
 
@@ -329,8 +344,8 @@ class TestRunChain:
         # with no data the posterior is the prior; marginal of the latent at
         # any node is standard normal for every length scale
         prior = SgcpPrior(dim=1)
-        cfg = ChainConfig(n_iter=8000, n_burn=2000, thin=5, resolution=8)
-        chain = run_chain([], prior, cfg, rng_for(42))
+        cfg = ChainConfig(n_iter=8000, n_burn=2000, thin=5)
+        chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(42))
         p_lam = stats.kstest(chain.lambda_star, stats.gamma(2.0, scale=1.0).cdf).pvalue
         p_g = stats.kstest(chain.latent[:, 3], stats.norm.cdf).pvalue
         assert p_lam > 0.01
@@ -342,8 +357,8 @@ class TestRunChain:
         truth = get_truth("sin1d").field(16)
         rng = rng_for(8, 0)
         pats = [simulate_thinning(3.0, truth, rng) for _ in range(150)]
-        cfg = ChainConfig(n_iter=4000, n_burn=1000, thin=3, resolution=16)
-        chain = run_chain(pats, SgcpPrior(dim=1), cfg, rng_for(8, 1))
+        cfg = ChainConfig(n_iter=4000, n_burn=1000, thin=3)
+        chain = run_chain(pats, SgcpPrior(dim=1), Grid(1, 16), cfg, rng_for(8, 1))
         d = sqrt_l2_distance(chain.mean_intensity(), truth)
         # a flat-prior-mean field sits ~0.3 away; the posterior must do better
         assert d < 0.15
@@ -358,8 +373,8 @@ class TestRunChain:
         pats = [simulate_thinning(3.0, truth, rng) for _ in range(60)]
         means = {}
         for res in (32, 64):
-            cfg = ChainConfig(n_iter=6000, n_burn=1500, thin=5, resolution=res)
-            chain = run_chain(pats, SgcpPrior(dim=1), cfg, rng_for(12, res))
+            cfg = ChainConfig(n_iter=6000, n_burn=1500, thin=5)
+            chain = run_chain(pats, SgcpPrior(dim=1), Grid(1, res), cfg, rng_for(12, res))
             means[res] = chain.mean_intensity()
         coarse = means[32]
         fine = IntensityField(coarse.grid, means[64].at(coarse.grid.nodes()))
