@@ -137,7 +137,7 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
 
 def run_contraction_experiment(
     config: ExperimentConfig,
-    prior: SgcpPrior | None = None,
+    prior: SgcpPrior,
     progress=None,
 ) -> ContractionReport:
     """Execute the full design and aggregate to a rate estimate.
@@ -147,8 +147,6 @@ def run_contraction_experiment(
     """
     truth_spec = get_truth(config.truth)
     truth = truth_spec.field(config.resolution)
-    if prior is None:
-        prior = SgcpPrior(dim=truth_spec.dim)
     if prior.dim != truth_spec.dim:
         raise ValueError("prior dimension does not match the truth")
     ceiling = float(np.max(truth.values))

@@ -19,12 +19,12 @@ Poisson process, with s = sigmoid(g)::
     sum_i [ sum_{x in N^i} log lambda(x) - integral (lambda - 1) ]
         = N log lam* + sum log s - n (lam* int s - 1)
 
-The Gamma(a, b) prior on lam* is conjugate, so when lam* is sampled the slice
-and ``ell`` moves target ``sum log s - (a + N) log(b + n int s)``, lam*
-integrated out, and the sweep ends with ``lam* ~ Gamma(a + N, rate b + n int
-s)``: a partially collapsed Gibbs sampler, valid only with that draw last
-(van Dyk & Park 2008). A periodic scratch recomputation of the cached target
-guards against incremental drift.
+The Gamma(a, b) prior on lam* is conjugate, so the slice and ``ell`` moves
+target ``sum log s - (a + N) log(b + n int s)``, lam* integrated out, and the
+sweep ends with ``lam* ~ Gamma(a + N, rate b + n int s)``: a partially
+collapsed Gibbs sampler, valid only with that draw last (van Dyk & Park
+2008). A periodic scratch recomputation of the cached target guards against
+incremental drift.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ LAMBDA_CAP = 1e5
 # the joint test refuses a ceiling prior with more mass than this above
 # LAMBDA_CAP: under a correct kernel the chained ceiling lies above the cap in
 # about this share of rounds (0.05 rounds expected in a 50000-round run), and
-# the forward side's thinning allocates candidates in proportion to the ceiling
+# the forward side's thinning allocates candidates in proportion to the ceiling;
+# it also refuses a prior whose ell^d or lam* draw underflows to 0 this often
 MAX_MASS_ABOVE_CAP = 1e-6
 # the calibration's forward rounds are drawn in blocks of at most this many
 # field values (and at least one round), so memory does not grow with rounds;
@@ -83,14 +84,11 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Run length and bookkeeping for one chain. With ``update_hyperparameters``
-    off, ``ell`` and ``lam*`` stay at their initial values and only the
-    latent field moves."""
+    """Run length of one chain: the ``[chain]`` keys of the INI file."""
 
     n_iter: int = 20000
     n_burn: int = 5000
     thin: int = 5
-    update_hyperparameters: bool = True
 
     def __post_init__(self):
         if self.n_iter <= 0 or not (0 <= self.n_burn < self.n_iter):
@@ -106,9 +104,6 @@ class ModelState:
     white: np.ndarray
     log_ell: float
     log_lambda_star: float
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.white.copy(), self.log_ell, self.log_lambda_star)
 
 
 @dataclass(frozen=True)
@@ -134,21 +129,25 @@ class PosteriorChain:
         return IntensityField(self.grid, np.mean(self.intensity, axis=0))
 
 
+def _unit_exponent(*xs: np.ndarray) -> int:
+    """The power of two that puts the largest magnitude in ``xs`` in [0.5, 1),
+    0 where that is 0 or not finite. Scaling by it is exact: no bit of a
+    scale-free statistic moves where its squares stay in the float range, and
+    they stay in it where they would overflow or underflow."""
+    return -math.frexp(max(float(np.max(np.abs(x))) for x in xs))[1]
+
+
 def effective_sample_size(x: np.ndarray) -> float:
     """Initial-positive-sequence autocorrelation estimate of the ESS; NaN for
     a series with a non-finite value. The ESS does not depend on scale, so the
-    series is first scaled by the power of two that puts its largest magnitude
-    in [0.5, 1): exact, so no bit moves where its squares stay in the float
-    range, and they stay in it where they would overflow or underflow."""
+    series is first scaled by ``_unit_exponent``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if not np.isfinite(x).all():
         return math.nan
     if n < 4:
         return float(n)
-    peak = float(np.max(np.abs(x)))
-    if peak > 0.0:
-        x = np.ldexp(x, -math.frexp(peak)[1])
+    x = np.ldexp(x, _unit_exponent(x))
     x = x - np.mean(x)
     var = float(np.dot(x, x)) / n
     if var <= 0.0:
@@ -175,13 +174,12 @@ class _Sampler:
     Caches the one-axis Cholesky factor ``L1`` for the current length scale
     (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
     fills and factors an r×r matrix for r nodes per axis), the interpolation
-    stencil of the data points, the two likelihood statistics and the target
-    of the moves: collapsed when ``update_hyperparameters`` is on, else the
-    joint likelihood at the fixed lam*. A grid that ``check_grid`` refuses is
+    stencil of the data points, the two likelihood statistics and the
+    collapsed target of the moves. A grid that ``check_grid`` refuses is
     refused here, before anything is filled.
     ``mutate_drop_integral`` deliberately corrupts the model (for
-    calibration-test power checks) by dropping ``n int s`` from both targets
-    and from the rate of the lam* draw.
+    calibration-test power checks) by dropping ``n int s`` from the target,
+    from the joint likelihood and from the rate of the lam* draw.
     """
 
     def __init__(self, prior: SgcpPrior, grid: Grid, config: ChainConfig,
@@ -261,10 +259,7 @@ class _Sampler:
         return self.prior.lam_prior.rate + self.n_patterns * int_s
 
     def _target_from(self, suff: tuple[float, float]) -> float:
-        """Log likelihood the moves target: lam* integrated out when it is
-        sampled, else the joint one at the fixed lam*."""
-        if not self.config.update_hyperparameters:
-            return self._loglik_from(suff, self.state.log_lambda_star)
+        """Log likelihood the moves target, lam* integrated out."""
         sum_log_s, int_s = suff
         if not math.isfinite(sum_log_s):
             return -math.inf
@@ -382,16 +377,14 @@ class _Sampler:
 
     def sweep(self, rng: np.random.Generator) -> None:
         self.update_latent(rng)
-        if self.config.update_hyperparameters:
-            self.update_length_scale(rng)
-            self.update_ceiling(rng)  # last: the moves above target lam* integrated out
+        self.update_length_scale(rng)
+        self.update_ceiling(rng)  # last: the moves above target lam* integrated out
 
     def adapt_steps(self, k: int) -> None:
         """Robbins-Monro adaptation of the ell step toward ``ADAPT_TARGET``."""
-        if self.config.update_hyperparameters:
-            gain = (k + 1.0) ** -0.6
-            step = self.step_log_ell * math.exp(gain * (self._last_alpha_ell - ADAPT_TARGET))
-            self.step_log_ell = min(max(step, 1e-3), 10.0)
+        gain = (k + 1.0) ** -0.6
+        step = self.step_log_ell * math.exp(gain * (self._last_alpha_ell - ADAPT_TARGET))
+        self.step_log_ell = min(max(step, 1e-3), 10.0)
 
     def reset_accept_counts(self) -> None:
         self.accepts = {"ell": 0, "lambda": 0}
@@ -420,12 +413,11 @@ def run_chain(
     grid: Grid,
     config: ChainConfig,
     rng: np.random.Generator,
-    init: ModelState | None = None,
 ) -> PosteriorChain:
     """Sample the posterior over (g, ell, lam*) on ``grid`` given replicated patterns."""
     sampler = _Sampler(prior, grid, config)
     sampler.set_data(patterns)
-    sampler.set_state(init.copy() if init is not None else initial_state(prior, grid, patterns))
+    sampler.set_state(initial_state(prior, grid, patterns))
 
     n_kept = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
     ell_out = np.empty(n_kept)
@@ -533,13 +525,8 @@ def _forward_stats(prior: SgcpPrior, grid: Grid, rng: np.random.Generator,
     return out
 
 
-def _stat_row(lam_star: float, ell: float, mean_intensity: float, count: int) -> tuple:
-    return (lam_star, lam_star * lam_star, ell, mean_intensity,
-            float(count), float(count * count))
-
-
-def _chained_segment(prior: SgcpPrior, grid: Grid, config: ChainConfig,
-                     mutate_drop_integral: bool, rng: np.random.Generator, n_rounds: int,
+def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
+                     rng: np.random.Generator, n_rounds: int,
                      sweeps_per_round: int) -> tuple[np.ndarray, bool]:
     """One independent chain of the calibration's chained side.
 
@@ -548,7 +535,7 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, config: ChainConfig,
     on those data. Returns the rows of the rounds completed and whether the
     chain diverged (its ceiling passed ``LAMBDA_CAP``) before the next one.
     """
-    sampler = _Sampler(prior, grid, config, mutate_drop_integral=mutate_drop_integral)
+    sampler = _Sampler(prior, grid, ChainConfig(), mutate_drop_integral=mutate_drop_integral)
     rows = np.empty((n_rounds, len(_GEWEKE_STATS)))
     start = sample_prior_batch(prior, grid, rng, 1)
     sampler.set_state(ModelState(
@@ -562,8 +549,9 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, config: ChainConfig,
             return rows[:i], True
         field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
         pattern = simulate_thinning(lam_star, field, rng)
-        rows[i] = _stat_row(lam_star, math.exp(sampler.state.log_ell),
-                            lam_star * sampler.integral_of_link, pattern.n)
+        count = float(pattern.n)
+        rows[i] = (lam_star, lam_star * lam_star, math.exp(sampler.state.log_ell),
+                   lam_star * sampler.integral_of_link, count, count * count)
         sampler.set_data([pattern])
         for _ in range(sweeps_per_round):
             sampler.sweep(rng)
@@ -591,7 +579,8 @@ def geweke_joint_test(
     outright — under a correct kernel the prior puts vanishing mass there,
     while broken kernels drift through it quickly. A ceiling prior with more
     than ``MAX_MASS_ABOVE_CAP`` of its mass above the cap is refused with a
-    ``ValueError`` before any draw.
+    ``ValueError`` before any draw, and so is a length-scale or ceiling prior
+    with more than that mass below the smallest positive float.
 
     The chained side is ``CHAINED_SEGMENTS`` independent chains: segment
     ``k`` runs rounds ``n_rounds * k // CHAINED_SEGMENTS`` up to the next
@@ -618,7 +607,16 @@ def geweke_joint_test(
             f"the ceiling prior Gamma(shape {lam.shape!r}, rate {lam.rate!r}) puts mass "
             f"{above_cap:.3g} above LAMBDA_CAP = {LAMBDA_CAP:g}, where the joint test reports "
             f"divergence; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
-    config = ChainConfig()
+    for name, spec in (("length-scale prior on ell^d", prior.ell_prior), ("ceiling prior", lam)):
+        # P(Gamma(a, b) < x) = (b x)^a / Gamma(a + 1) to a relative 1e-15 at
+        # b x < 1e-15, as at x = ulp(0); in logs, as b x itself can underflow
+        a, b, x = spec.shape, spec.rate, math.ulp(0.0)
+        below = math.exp(min(a * (math.log(b) + math.log(x)) - math.lgamma(a + 1.0), 0.0))
+        if not below <= MAX_MASS_ABOVE_CAP:
+            raise ValueError(
+                f"the {name} Gamma(shape {a!r}, rate {b!r}) puts mass "
+                f"{below:.3g} below the smallest positive float, where a draw underflows "
+                f"to 0; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
 
     forward = _forward_stats(prior, grid, rng, n_rounds)
 
@@ -626,7 +624,7 @@ def geweke_joint_test(
     bounds = [n_rounds * k // CHAINED_SEGMENTS for k in range(CHAINED_SEGMENTS + 1)]
     segments = run_cells(
         list(range(CHAINED_SEGMENTS)), min(CHAINED_SEGMENTS, usable_cpus()),
-        lambda k: _chained_segment(prior, grid, config, mutate_drop_integral, streams[k],
+        lambda k: _chained_segment(prior, grid, mutate_drop_integral, streams[k],
                                    bounds[k + 1] - bounds[k], sweeps_per_round))
     completed = 0
     for rows, diverged in segments:
@@ -638,9 +636,12 @@ def geweke_joint_test(
 
     z_scores = {}
     for j, name in enumerate(_GEWEKE_STATS):
-        mc_se = float(np.std(forward[:, j], ddof=1) / math.sqrt(n_rounds))
-        sc_se = _batch_means_se(chained[:, j])
+        # z does not depend on scale: both sides share one exact power of two
+        e = _unit_exponent(forward[:, j], chained[:, j])
+        fwd, chn = np.ldexp(forward[:, j], e), np.ldexp(chained[:, j], e)
+        mc_se = float(np.std(fwd, ddof=1) / math.sqrt(n_rounds))
+        sc_se = _batch_means_se(chn)
         denom = math.sqrt(mc_se**2 + sc_se**2)
-        diff = float(np.mean(chained[:, j]) - np.mean(forward[:, j]))
+        diff = float(np.mean(chn) - np.mean(fwd))
         z_scores[name] = diff / denom if denom > 0.0 else 0.0
     return GewekeResult(z_scores, False, n_rounds)

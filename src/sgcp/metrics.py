@@ -42,7 +42,7 @@ def distances_to_truth(intensity_draws: np.ndarray, truth: IntensityField) -> np
     return np.sqrt((diff * diff) @ w)
 
 
-def credible_radius(distances: np.ndarray, q: float = 0.9) -> float:
+def credible_radius(distances: np.ndarray, q: float) -> float:
     """Empirical q-quantile of posterior draw distances (radius of the
     smallest centered ball holding mass q)."""
     if not (0.0 < q < 1.0):

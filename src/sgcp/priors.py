@@ -193,20 +193,16 @@ def validate_length_scale_tail(
 
 
 def validate_max_intensity_tail(
-    spec: MaxIntensityPriorSpec, c0: float = 10.0, rate: float | None = None
+    spec: MaxIntensityPriorSpec, c0: float = 10.0
 ) -> ValidationResult:
-    """Check ``P(lam* > x) <= c0 * exp(-rate * x)`` on the probe window.
-
-    The default rate is half the gamma rate, which absorbs the polynomial
-    factor in the gamma tail.
+    """Check ``P(lam* > x) <= c0 * exp(-rate * x / 2)`` on the probe window:
+    half the gamma rate absorbs the polynomial factor in the gamma tail.
     """
-    if rate is None:
-        rate = 0.5 * spec.rate
-    if c0 <= 0.0 or rate <= 0.0:
-        raise ValueError("tail constants must be positive")
+    if c0 <= 0.0:
+        raise ValueError("tail constant c0 must be positive")
     xs = _PROBE_XS
     surv = spec.survival(xs)
-    bound = c0 * np.exp(-rate * xs)
+    bound = c0 * np.exp(-0.5 * spec.rate * xs)
     bad = surv > bound * (1.0 + 1e-12)
     if np.any(bad):
         x = float(xs[np.argmax(bad)])

@@ -31,6 +31,7 @@ from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
                   sqrt_l2_distance, validate_length_scale_tail,
                   validate_max_intensity_tail)
 from sgcp.cli import main
+from sgcp.inference import _Sampler
 from sgcp.kernels import chol_with_jitter, cov_matrix, gp_field, spectral_covariance_quadrature
 from sgcp.priors import default_length_scale_bounds, prior_small_ball_probability
 
@@ -122,13 +123,14 @@ def test_03_mcmc_correctness(report):
     geweke = geweke_joint_test(prior, Grid(1, 16), rng_for(20240601, 7),
                                n_rounds=50000, sweeps_per_round=5)
 
-    # (c) three-node posterior, fixed hyperparameters: dense Gauss-Hermite
-    # tensor quadrature in the whitened space is an independent oracle
+    # (c) three-node posterior at ell = 1 with lam* integrated out, the
+    # target of the chain's slice move: dense Gauss-Hermite tensor quadrature
+    # in the whitened space is an independent oracle
     grid = Grid(1, 3)
     pts = np.array([[0.12], [0.47], [0.83]])
     pattern = PointPattern(1, pts)
-    lam_star, ell = 8.0, 1.0
-    L, _ = chol_with_jitter(cov_matrix(ell, grid.nodes()))
+    lam = prior.lam_prior
+    L, _ = chol_with_jitter(cov_matrix(1.0, grid.nodes()))
     u, w = np.polynomial.hermite.hermgauss(40)
     U = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
     W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
@@ -139,26 +141,41 @@ def test_03_mcmc_correctness(report):
     i0 = np.minimum(x.astype(int), 1)
     frac = x - i0
     s_at = S[:, i0] * (1 - frac) + S[:, i0 + 1] * frac
-    loglik = (pattern.n * math.log(lam_star) + np.sum(np.log(s_at), axis=1)
-              - (lam_star * int_s - 1.0))
+    # sum log s - (a + N) log(b + n int s) for the one pattern, n = 1
+    loglik = (np.sum(np.log(s_at), axis=1)
+              - (lam.shape + pattern.n) * np.log(lam.rate + int_s))
     post = W * np.exp(loglik - loglik.max())
     post /= post.sum()
     mean_oracle = post @ G
     var_oracle = post @ (G - mean_oracle) ** 2
-    fixed = ChainConfig(n_iter=60000, n_burn=5000, thin=5, update_hyperparameters=False)
-    init = ModelState(np.zeros(3), math.log(ell), math.log(lam_star))
-    oracle_chain = run_chain([pattern], prior, grid, fixed, rng_for(7, 3), init=init)
-    mean_err = float(np.abs(oracle_chain.latent.mean(axis=0) - mean_oracle).max())
-    var_err = float(np.abs(oracle_chain.latent.var(axis=0) - var_oracle).max())
+
+    def oracle_errors(mutate_drop_integral):
+        sampler = _Sampler(prior, grid, ChainConfig(), mutate_drop_integral)
+        sampler.set_data([pattern])
+        sampler.set_state(ModelState(np.zeros(3), 0.0, math.log(8.0)))
+        rng = rng_for(7, 3)
+        draws = []
+        for k in range(60000):
+            sampler.update_latent(rng)
+            if k >= 5000 and k % 5 == 0:
+                draws.append(sampler.latent.copy())
+        draws = np.array(draws)
+        return (float(np.abs(draws.mean(axis=0) - mean_oracle).max()),
+                float(np.abs(draws.var(axis=0) - var_oracle).max()))
+
+    mean_err, var_err = oracle_errors(False)
+    # the oracle has power: the chain that drops n int s from its target misses it
+    mutated_mean_err, _ = oracle_errors(True)
 
     elapsed = time.perf_counter() - t0
     ok = (p_min > 0.01
           and not geweke.diverged and geweke.max_abs_z < 4.0
-          and mean_err <= 0.05 and var_err <= 0.05
+          and mean_err <= 0.05 and var_err <= 0.05 and mutated_mean_err > 0.05
           and elapsed < 600.0)
     report(3, "mcmc-correctness", ok,
            f"KS p_min {p_min:.3f}, joint max|z| {geweke.max_abs_z:.2f}, "
-           f"oracle err {mean_err:.3f}/{var_err:.3f}, budget 10min", t0)
+           f"oracle err {mean_err:.3f}/{var_err:.3f} (mutated mean err "
+           f"{mutated_mean_err:.3f}), budget 10min", t0)
 
 
 def test_04_distance_correctness(report):

@@ -585,22 +585,34 @@ class TestCalibrateSegmentSplit:
         assert not forks and not drawn
 
 
-    @pytest.mark.parametrize("shape, rate", [("1e30", "1e-30"), ("1e8", "1e-8"), ("2", "1e-4")],
-                             ids=["ceiling-1e30", "ceiling-1e8", "ceiling-mean-2e4"])
+    @pytest.mark.parametrize("ini, message", [
+        ("lam_shape = 1e30\nlam_rate = 1e-30", "above LAMBDA_CAP = 100000"),
+        ("lam_shape = 1e8\nlam_rate = 1e-8", "above LAMBDA_CAP = 100000"),
+        ("lam_shape = 2\nlam_rate = 1e-4", "above LAMBDA_CAP = 100000"),
+        ("ell_shape = 0.002", "the length-scale prior on ell^d Gamma(shape 0.002, rate 1.0) "
+                              "puts mass 0.226 below the smallest positive float"),
+        ("lam_shape = 1e-8", "the ceiling prior Gamma(shape 1e-08, rate 1.0) "
+                             "puts mass 1 below the smallest positive float"),
+    ], ids=["ceiling-1e30", "ceiling-1e8", "ceiling-mean-2e4", "ell-shape-0.002",
+            "lam-shape-1e-8"])
     def test_ceiling_prior_above_the_cap_refused_before_any_draw_or_fork(
-            self, monkeypatch, capsys, tmp_path, shape, rate):
-        # the loader accepts these priors, but each puts more than 1e-6 of its
-        # mass where the joint test reports divergence; at the 1e8 prior the
-        # forward side would thin about 1e8 candidates per round
+            self, monkeypatch, capsys, tmp_path, ini, message):
+        # the loader accepts these priors, but the first three put more than
+        # 1e-6 of their mass where the joint test reports divergence (at the
+        # 1e8 prior the forward side would thin about 1e8 candidates per
+        # round), and the last two a draw of ell^d or lam* on 0 in about a
+        # quarter or in all of the rounds: ell then has no log (at seeds 4 and
+        # 6 the chained side's first draw of ell^d is 0), and the thinning
+        # refuses a ceiling of 0
         _cpus(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
         drawn = []
         monkeypatch.setattr(inference, "_forward_stats", lambda *a: drawn.append(a))
         cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[prior]\nlam_shape = {shape}\nlam_rate = {rate}\n")
-        assert main(["calibrate", "--config", str(cfg), "--rounds", "64",
-                     "--resolution", "8", "--sweeps", "1"]) == 2
-        assert "above LAMBDA_CAP = 100000" in capsys.readouterr().err
+        cfg.write_text(f"[prior]\n{ini}\n")
+        assert main(["calibrate", "--config", str(cfg), "--rounds", "64", "--resolution", "8",
+                     "--sweeps", "1", "--seed", "4"]) == 2
+        assert message in capsys.readouterr().err
         assert not forks and not drawn
 
 

@@ -1,11 +1,13 @@
 """INI configuration: defaults, typed parsing, and the config fingerprint."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from sgcp import ChainConfig, ConfigError, ExperimentConfig, SgcpPrior, load_config
+from sgcp.config import _KEYS
 
 
 def test_ini_defaults_match_dataclass_defaults():
@@ -13,6 +15,13 @@ def test_ini_defaults_match_dataclass_defaults():
     cfg = load_config()
     assert cfg.experiment == ExperimentConfig()
     assert cfg.prior(1) == SgcpPrior(dim=1)
+
+
+def test_every_config_field_is_an_ini_key():
+    # a field no INI key sets would be a knob only code can turn
+    assert tuple(f.name for f in fields(ChainConfig)) == _KEYS["chain"]
+    assert tuple(f.name for f in fields(ExperimentConfig)
+                 if f.name not in ("chain", "synthetic")) == _KEYS["experiment"]
 
 
 def test_readme_configuration_block_loads_to_the_defaults(tmp_path):

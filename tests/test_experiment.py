@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sgcp.experiment
-from sgcp import (ChainConfig, ExperimentConfig, Grid, count_inversions, fit_rate_slope,
-                  get_truth, run_contraction_experiment, seed_fingerprint,
+from sgcp import (ChainConfig, ExperimentConfig, Grid, SgcpPrior, count_inversions,
+                  fit_rate_slope, get_truth, run_contraction_experiment, seed_fingerprint,
                   write_cells_csv, write_medians_csv)
 from sgcp.point_process import write_json
 
@@ -60,14 +60,14 @@ class TestSyntheticMode:
             chain=ChainConfig(n_iter=10, n_burn=1))
 
     def test_recovers_injected_exponent_exactly(self):
-        report = run_contraction_experiment(self._config())
+        report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         assert report.slope == pytest.approx(-0.5, abs=1e-12)
         assert report.inversions == 0
 
     def test_recovers_other_exponent(self, monkeypatch):
         monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_EXPONENT", 0.37)
         monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_CONSTANT", 2.5)
-        report = run_contraction_experiment(self._config())
+        report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         assert report.slope == pytest.approx(-0.37, abs=1e-12)
         assert report.intercept == pytest.approx(math.log(2.5), abs=1e-12)
 
@@ -76,12 +76,12 @@ class TestSyntheticMode:
         # not filled up front, so the design still runs, every cell once and in order
         cfg = ExperimentConfig(ns=(25, 50), replicates=9000, synthetic=True,
                                chain=ChainConfig(n_iter=10, n_burn=1))
-        report = run_contraction_experiment(cfg)
+        report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         assert [(c.n, c.replicate) for c in report.cells] == \
             [(n, rep) for n in (25, 50) for rep in range(9000)]
 
     def test_report_dict_round_trips_through_json(self):
-        report = run_contraction_experiment(self._config())
+        report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         blob = json.dumps(dataclasses.asdict(report), sort_keys=True)
         back = json.loads(blob)
         assert back["slope"] == report.slope
@@ -92,7 +92,7 @@ class TestWriters:
     def test_files_deterministic(self, tmp_path):
         cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
                                chain=ChainConfig(n_iter=10, n_burn=1))
-        report = run_contraction_experiment(cfg)
+        report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         meta = {"origin": "test"}
         for writer, name in ((lambda r, p: write_json(dataclasses.asdict(r), p), "r.json"),
                              (lambda r, p: write_cells_csv(r, p, meta), "c.csv"),
@@ -106,7 +106,7 @@ class TestWriters:
     def test_cells_csv_parses(self, tmp_path):
         cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
                                chain=ChainConfig(n_iter=10, n_burn=1))
-        report = run_contraction_experiment(cfg)
+        report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         path = tmp_path / "cells.csv"
         write_cells_csv(report, path, {})
         lines = path.read_text().strip().splitlines()
@@ -122,7 +122,7 @@ class TestEndToEndTiny:
         cfg = ExperimentConfig(
             truth="sin1d", ns=(5, 10), replicates=1, resolution=8, seed=77,
             chain=ChainConfig(n_iter=400, n_burn=100, thin=4))
-        report = run_contraction_experiment(cfg)
+        report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         assert len(report.cells) == 2
         for cell in report.cells:
             assert cell.distance_mean > 0.0
@@ -151,13 +151,14 @@ class TestEndToEndTiny:
         monkeypatch.setattr(sgcp.experiment, "run_chain", run_chain)
         cfg = ExperimentConfig(ns=(2, 3), replicates=2, resolution=16,
                                chain=ChainConfig(n_iter=4, n_burn=1))
-        run_contraction_experiment(cfg)
+        run_contraction_experiment(cfg, SgcpPrior(dim=1))
         assert grids == [Grid(1, 16)] * 4
 
     def test_unknown_truth_rejected(self):
         with pytest.raises(ValueError):
             run_contraction_experiment(
-                ExperimentConfig(truth="nope", ns=(5, 10), replicates=1, synthetic=True))
+                ExperimentConfig(truth="nope", ns=(5, 10), replicates=1, synthetic=True),
+                SgcpPrior(dim=1))
 
 
 class TestTruthCatalog:

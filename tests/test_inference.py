@@ -1,15 +1,16 @@
 """Sampler mechanics: state management, moves, prior recovery, calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from sgcp import (ChainConfig, Grid, IntensityField, MaxIntensityPriorSpec, ModelState,
-                  NumericalError, PointPattern, SgcpPrior, effective_sample_size,
-                  geweke_joint_test, initial_state, integrate_field, rng_for,
-                  run_chain, sample_prior_batch, simulate_thinning)
+from sgcp import (ChainConfig, Grid, IntensityField, LengthScalePriorSpec,
+                  MaxIntensityPriorSpec, ModelState, NumericalError, PointPattern, SgcpPrior,
+                  effective_sample_size, geweke_joint_test, initial_state, integrate_field,
+                  rng_for, run_chain, sample_prior_batch, simulate_thinning)
 import sgcp.inference
 from sgcp._accel import sigmoid
 from sgcp.inference import _GEWEKE_STATS, _Sampler, _forward_stats, cov_matrix
@@ -121,7 +122,7 @@ class TestSamplerInternals:
         assert np.all(s.latent > -800.0)
 
     def test_cached_field_does_not_drift(self):
-        # with the hyperparameters fixed the factor never refreshes the field,
+        # without a length-scale move the factor never refreshes the field,
         # which the slice move updates incrementally as g cos + (L nu) sin
         prior = SgcpPrior(dim=1)
         grid = Grid(1, 32)
@@ -129,12 +130,12 @@ class TestSamplerInternals:
         from sgcp import simulate_thinning
         rng = rng_for(16, 0)
         pats = [simulate_thinning(5.0, truth, rng) for _ in range(20)]
-        s = _Sampler(prior, grid, ChainConfig(update_hyperparameters=False))
+        s = _Sampler(prior, grid, ChainConfig())
         s.set_data(pats)
         s.set_state(initial_state(prior, grid, pats))
         rng = rng_for(16, 1)
         for _ in range(5000):
-            s.sweep(rng)
+            s.update_latent(rng)
         fresh = apply_factor(s._L, s.state.white, 1)
         np.testing.assert_allclose(s.latent, fresh, rtol=0.0, atol=1e-9)
         s.scratch_check()
@@ -332,14 +333,6 @@ class TestRunChain:
         assert len(shapes) > 1
         assert set(shapes) == {(6, 1)}
 
-    def test_fixed_hyperparameters_stay_fixed(self):
-        prior = SgcpPrior(dim=1)
-        cfg = ChainConfig(n_iter=300, n_burn=50, update_hyperparameters=False)
-        init = ModelState(np.zeros(8), math.log(1.3), math.log(4.0))
-        chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(6), init=init)
-        np.testing.assert_allclose(chain.ell, 1.3, rtol=1e-12)
-        np.testing.assert_allclose(chain.lambda_star, 4.0, rtol=1e-12)
-
     def test_prior_recovery_short(self):
         # with no data the posterior is the prior; marginal of the latent at
         # any node is standard normal for every length scale
@@ -401,6 +394,17 @@ class TestGeweke:
                                 n_rounds=4000, sweeps_per_round=4)
         assert not res.diverged
         assert res.max_abs_z < 5.0
+
+    def test_length_scale_near_1e300_gives_a_measured_z(self):
+        # the squares of ell draws near 1e300 overflow; z must not read as a
+        # perfect 0 for a statistic whose spread was never measured
+        prior = SgcpPrior(dim=1, ell_prior=LengthScalePriorSpec(dim=1, rate=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = geweke_joint_test(prior, Grid(1, 8), rng_for(7), n_rounds=64,
+                                    sweeps_per_round=1)
+        assert not res.diverged
+        assert math.isfinite(res.z_scores["ell"]) and res.z_scores["ell"] != 0.0
 
     def test_forward_blocks_match_sequential_single_draws(self):
         # two-sample KS of the block-drawn forward side against 4000 rounds of

@@ -1,6 +1,7 @@
 """The logistic link, hyperprior densities, tail validators, small-ball probe."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,7 +161,10 @@ class TestTailValidators:
         assert res.witness is not None and 5.0 <= res.witness <= 100.0
 
     def test_ceiling_too_fast_decay_fails(self):
-        res = validate_max_intensity_tail(MaxIntensityPriorSpec(), rate=5.0)
+        # the envelope decays at half the spec's rate, 5, while its tail is
+        # that of Gamma(2, 1)
+        spec = SimpleNamespace(rate=10.0, survival=MaxIntensityPriorSpec().survival)
+        res = validate_max_intensity_tail(spec)
         assert not res.passed
 
 
