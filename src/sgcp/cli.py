@@ -140,7 +140,6 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
                 (row.tolist() for row in chain.intensity))
     summary = {
         "accept_ell": chain.accept_ell,
-        "accept_lambda": chain.accept_lambda,
         "backend": BACKEND,
         "config_fingerprint": cfg.fingerprint(),
         "ell_mean": float(np.mean(chain.ell)),

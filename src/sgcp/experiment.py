@@ -57,7 +57,6 @@ class CellResult:
     distance_mean: float
     credible_radius_090: float
     accept_ell: float
-    accept_lambda: float
     n_eff_ell: float
     n_eff_lambda_star: float
     seed_data: int
@@ -114,7 +113,7 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     seed_chain = seed_fingerprint(config.seed, i_n, rep, 1)
     if config.synthetic:
         d = SYNTHETIC_CONSTANT * float(n) ** (-SYNTHETIC_EXPONENT)
-        return CellResult(n, rep, 0, d, d, 0.0, 0.0, 0.0, 0.0, seed_data, seed_chain)
+        return CellResult(n, rep, 0, d, d, 0.0, 0.0, 0.0, seed_data, seed_chain)
     data_rng = rng_for(config.seed, i_n, rep, 0)
     patterns = [simulate_thinning(ceiling, truth, data_rng) for _ in range(n)]
     chain_rng = rng_for(config.seed, i_n, rep, 1)
@@ -127,7 +126,6 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
         distance_mean=sqrt_l2_distance(chain.mean_intensity(), truth),
         credible_radius_090=credible_radius(dists, 0.9),
         accept_ell=chain.accept_ell,
-        accept_lambda=chain.accept_lambda,
         n_eff_ell=chain.diagnostics["n_eff_ell"],
         n_eff_lambda_star=chain.diagnostics["n_eff_lambda_star"],
         seed_data=seed_data,

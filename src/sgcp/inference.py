@@ -108,17 +108,17 @@ class ModelState:
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Thinned post-burn-in draws plus acceptance and mixing diagnostics."""
+    """Thinned post-burn-in draws plus acceptance and mixing diagnostics.
+
+    The latent field of a draw is ``logit(intensity / lambda_star)``."""
 
     grid: Grid
     ell: np.ndarray
     lambda_star: np.ndarray
-    latent: np.ndarray      # (n_kept, n_nodes) latent field draws
     intensity: np.ndarray   # (n_kept, n_nodes) intensity draws
     log_post: np.ndarray    # unnormalized log posterior at each kept draw
     iterations: np.ndarray  # sweep index each kept draw was taken from
-    accept_ell: float
-    accept_lambda: float
+    accept_ell: float       # share of post-burn-in ell proposals accepted
     diagnostics: dict
 
     @property
@@ -182,14 +182,12 @@ class _Sampler:
     from the joint likelihood and from the rate of the lam* draw.
     """
 
-    def __init__(self, prior: SgcpPrior, grid: Grid, config: ChainConfig,
-                 mutate_drop_integral: bool = False):
+    def __init__(self, prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool = False):
         if grid.dim != prior.dim:
             raise ValueError("grid dimension does not match the prior")
         check_grid(grid)
         self.prior = prior
         self.grid = grid
-        self.config = config
         self.mutate = mutate_drop_integral
         self.axis_nodes = axis_nodes(grid.resolution)
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
@@ -206,7 +204,6 @@ class _Sampler:
         self._suff = (0.0, 0.0)
         self._loglik = 0.0
         self.accepts = {"ell": 0, "lambda": 0}
-        self.proposals = {"ell": 0, "lambda": 0}
 
     # -- data and state management ------------------------------------
 
@@ -228,9 +225,8 @@ class _Sampler:
 
     def set_state(self, state: ModelState) -> None:
         self.state = state
-        ell = math.exp(state.log_ell)
-        self._log_prior_ell = self.prior.ell_prior.log_density(ell)
-        self._L = self._factor(ell)
+        self._log_prior_ell = self.prior.ell_prior.log_density_at_log(state.log_ell)
+        self._L = self._factor(math.exp(state.log_ell))
         self._g = apply_factor(self._L, state.white, self.grid.dim)
         self._refresh_likelihood()
 
@@ -282,9 +278,8 @@ class _Sampler:
     def log_posterior(self) -> float:
         """Joint log density of the current state in whitened coordinates."""
         st = self.state
-        ell = math.exp(st.log_ell)
         val = -0.5 * float(st.white @ st.white)
-        val += self.prior.ell_prior.log_density(ell) + st.log_ell
+        val += self.prior.ell_prior.log_density_at_log(st.log_ell) + st.log_ell
         val += self.prior.lam_prior.log_density_of_log(st.log_lambda_star)
         return val + self._loglik_from(self._suff, st.log_lambda_star)
 
@@ -334,14 +329,13 @@ class _Sampler:
     def update_length_scale(self, rng: np.random.Generator) -> None:
         """Whitened random-walk move on log ell (refactorizes on accept)."""
         st = self.state
-        self.proposals["ell"] += 1
         log_ell_prop = st.log_ell + self.step_log_ell * rng.standard_normal()
         ell_prop = math.exp(log_ell_prop)
         L_prop = self._factor(ell_prop)
         g_prop = apply_factor(L_prop, st.white, self.grid.dim)
         suff_prop = self._suffstats(g_prop)
         ll_prop = self._target_from(suff_prop)
-        log_prior_prop = self.prior.ell_prior.log_density(ell_prop)
+        log_prior_prop = self.prior.ell_prior.log_density_at_log(log_ell_prop)
         log_alpha = (
             ll_prop - self._loglik
             + log_prior_prop
@@ -366,7 +360,6 @@ class _Sampler:
         Below shape 1 a gamma draw can underflow to 0, so ``log lam*`` is drawn
         as ``log G(a + 1) + log(U) / a`` (Marsaglia & Tsang 2000).
         """
-        self.proposals["lambda"] += 1
         shape, scale = self._post_shape, 1.0 / self._ceiling_rate(self._suff[1])
         if shape >= 1.0:
             log_lam = math.log(rng.gamma(shape, scale))
@@ -385,10 +378,6 @@ class _Sampler:
         gain = (k + 1.0) ** -0.6
         step = self.step_log_ell * math.exp(gain * (self._last_alpha_ell - ADAPT_TARGET))
         self.step_log_ell = min(max(step, 1e-3), 10.0)
-
-    def reset_accept_counts(self) -> None:
-        self.accepts = {"ell": 0, "lambda": 0}
-        self.proposals = {"ell": 0, "lambda": 0}
 
 
 def initial_state(prior: SgcpPrior, grid: Grid, patterns: list[PointPattern]) -> ModelState:
@@ -415,54 +404,51 @@ def run_chain(
     rng: np.random.Generator,
 ) -> PosteriorChain:
     """Sample the posterior over (g, ell, lam*) on ``grid`` given replicated patterns."""
-    sampler = _Sampler(prior, grid, config)
+    sampler = _Sampler(prior, grid)
     sampler.set_data(patterns)
     sampler.set_state(initial_state(prior, grid, patterns))
 
     n_kept = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
     ell_out = np.empty(n_kept)
     lam_out = np.empty(n_kept)
-    latent_out = np.empty((n_kept, grid.n_nodes))
     intensity_out = np.empty((n_kept, grid.n_nodes))
     logpost_out = np.empty(n_kept)
     iter_out = np.empty(n_kept, dtype=np.int64)
 
     kept = 0
+    ell_accepts_at_burn = 0
     for k in range(config.n_iter):
         sampler.sweep(rng)
         if k < config.n_burn:
             sampler.adapt_steps(k)
         if k == config.n_burn - 1:
-            sampler.reset_accept_counts()
+            ell_accepts_at_burn = sampler.accepts["ell"]
         if (k + 1) % CHECK_EVERY == 0 or k + 1 == config.n_iter:
             sampler.scratch_check()
         if k >= config.n_burn and (k - config.n_burn) % config.thin == 0:
             st = sampler.state
             ell_out[kept] = math.exp(st.log_ell)
             lam_out[kept] = math.exp(st.log_lambda_star)
-            latent_out[kept] = sampler.latent
             intensity_out[kept] = lam_out[kept] * sigmoid(sampler.latent)
             logpost_out[kept] = sampler.log_posterior()
             iter_out[kept] = k
             kept += 1
 
     diagnostics = {
-        "n_eff_ell": effective_sample_size(ell_out[:kept]),
-        "n_eff_lambda_star": effective_sample_size(lam_out[:kept]),
+        "n_eff_ell": effective_sample_size(ell_out),
+        "n_eff_lambda_star": effective_sample_size(lam_out),
         "step_log_ell": sampler.step_log_ell,
     }
-    denom_e = max(sampler.proposals["ell"], 1)
-    denom_l = max(sampler.proposals["lambda"], 1)
     return PosteriorChain(
         grid=grid,
-        ell=ell_out[:kept],
-        lambda_star=lam_out[:kept],
-        latent=latent_out[:kept],
-        intensity=intensity_out[:kept],
-        log_post=logpost_out[:kept],
-        iterations=iter_out[:kept],
-        accept_ell=sampler.accepts["ell"] / denom_e,
-        accept_lambda=sampler.accepts["lambda"] / denom_l,
+        ell=ell_out,
+        lambda_star=lam_out,
+        intensity=intensity_out,
+        log_post=logpost_out,
+        iterations=iter_out,
+        # the ell move is proposed once per sweep
+        accept_ell=(sampler.accepts["ell"] - ell_accepts_at_burn)
+        / (config.n_iter - config.n_burn),
         diagnostics=diagnostics,
     )
 
@@ -535,7 +521,7 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
     on those data. Returns the rows of the rounds completed and whether the
     chain diverged (its ceiling passed ``LAMBDA_CAP``) before the next one.
     """
-    sampler = _Sampler(prior, grid, ChainConfig(), mutate_drop_integral=mutate_drop_integral)
+    sampler = _Sampler(prior, grid, mutate_drop_integral=mutate_drop_integral)
     rows = np.empty((n_rounds, len(_GEWEKE_STATS)))
     start = sample_prior_batch(prior, grid, rng, 1)
     sampler.set_state(ModelState(

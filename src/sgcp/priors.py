@@ -80,9 +80,15 @@ class LengthScalePriorSpec:
     def log_density(self, ell: float) -> float:
         if ell <= 0.0:
             raise ValueError("length scale must be positive")
+        return self.log_density_at_log(math.log(ell))
+
+    def log_density_at_log(self, log_ell: float) -> float:
+        """Log density of ell (not of ``log ell``) at ``exp(log_ell)``, evaluated
+        from ``log ell`` itself, so a length scale too small for a float keeps a
+        finite density."""
         d, a, b = self.dim, self.shape, self.rate
         return (math.log(d) + a * math.log(b) - math.lgamma(a)
-                + (d * a - 1.0) * math.log(ell) - b * ell**d)
+                + (d * a - 1.0) * log_ell - b * math.exp(log_ell)**d)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws of ell: d-th roots of gamma draws. Each root is a float

@@ -81,7 +81,10 @@ class TestFit:
         summary = json.loads((out1 / "fit.json").read_text())
         assert summary["n_patterns"] == 20
         assert summary["lambda_star_mean"] > 0.0
-        assert "distance_mean_to_truth" in summary  # truth.csv was present
+        assert set(summary) == {  # distance and radius: truth.csv was present
+            "accept_ell", "backend", "config_fingerprint", "credible_radius_090",
+            "distance_mean_to_truth", "ell_mean", "lambda_star_mean", "n_eff_ell",
+            "n_eff_lambda_star", "n_kept", "n_patterns", "n_points", "resolution", "seed"}
         for name in ["fit.json", "posterior_mean.csv", "chain.jsonl",
                      "intensity_draws.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -144,6 +147,22 @@ class TestFit:
         (data / "pattern_0000.csv").write_text("1,resolution-free\n")
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[prior]\nlam_shape = {lam_shape}\n")
+        for seed in range(1, 7):
+            out = tmp_path / f"o{seed}"
+            assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out),
+                         "--n-iter", "200", "--n-burn", "50", "--resolution", "8",
+                         "--seed", str(seed)]) == 0
+            draws = [json.loads(ln) for ln in (out / "chain.jsonl").read_text().splitlines()[1:]]
+            assert all(math.isfinite(d["log_post"]) for d in draws)
+
+    def test_length_scale_that_underflows_to_zero_runs(self, tmp_path):
+        # the chain starts at the prior median, about 1e-301, and a log ell
+        # proposal below about -745 gives ell = 0.0; ell's prior is scored
+        # from log ell, so the move weighs that proposal instead of raising
+        data = tmp_path / "data"
+        assert main(["simulate", "--out", str(data), "--n", "6", "--seed", "3"]) == 0
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[prior]\nell_shape = 1e-3\n")
         for seed in range(1, 7):
             out = tmp_path / f"o{seed}"
             assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out),

@@ -110,7 +110,8 @@ class TestWriters:
         path = tmp_path / "cells.csv"
         write_cells_csv(report, path, {})
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("n,replicate,")
+        assert lines[0] == ("n,replicate,n_points,distance_mean,credible_radius_090,"
+                            "accept_ell,n_eff_ell,n_eff_lambda_star,seed_data,seed_chain")
         assert len(lines) == 1 + 4
         first = lines[1].split(",")
         assert int(first[0]) == 25

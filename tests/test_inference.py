@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from sgcp import (ChainConfig, Grid, IntensityField, LengthScalePriorSpec,
                   MaxIntensityPriorSpec, ModelState, NumericalError, PointPattern, SgcpPrior,
@@ -67,8 +67,7 @@ class TestSamplerInternals:
     def _make(self, patterns=()):
         prior = SgcpPrior(dim=1)
         grid = Grid(1, 9)
-        cfg = ChainConfig(n_iter=10, n_burn=1)
-        s = _Sampler(prior, grid, cfg)
+        s = _Sampler(prior, grid)
         s.set_data(list(patterns))
         s.set_state(ModelState(np.zeros(9), 0.0, math.log(2.0)))
         return s
@@ -130,7 +129,7 @@ class TestSamplerInternals:
         from sgcp import simulate_thinning
         rng = rng_for(16, 0)
         pats = [simulate_thinning(5.0, truth, rng) for _ in range(20)]
-        s = _Sampler(prior, grid, ChainConfig())
+        s = _Sampler(prior, grid)
         s.set_data(pats)
         s.set_state(initial_state(prior, grid, pats))
         rng = rng_for(16, 1)
@@ -154,7 +153,7 @@ class TestCollapsedCeiling:
                 PointPattern(1, np.array([[0.05], [0.4], [0.77]]))]
 
     def _make(self, white):
-        s = _Sampler(SgcpPrior(dim=1), Grid(1, 9), ChainConfig(n_iter=10, n_burn=1))
+        s = _Sampler(SgcpPrior(dim=1), Grid(1, 9))
         s.set_data(self.PATTERNS)
         s.set_state(ModelState(white, 0.0, math.log(2.0)))
         return s
@@ -195,13 +194,13 @@ class TestCollapsedCeiling:
         assert stats.kstest(draws, stats.gamma(shape, scale=1.0 / rate).cdf).pvalue > 0.01
         # independent draws: every call moves lam*, where a random walk would stay put
         assert np.unique(draws).size == draws.size
-        assert s.accepts["lambda"] == s.proposals["lambda"] == draws.size
+        assert s.accepts["lambda"] == draws.size
 
     @staticmethod
     def _log_ceiling_draws(shape, n_draws):
         # no points, so the posterior shape a + N is the prior shape
         prior = SgcpPrior(dim=1, lam_prior=MaxIntensityPriorSpec(shape=shape))
-        s = _Sampler(prior, Grid(1, 9), ChainConfig(n_iter=10, n_burn=1))
+        s = _Sampler(prior, Grid(1, 9))
         s.set_data([PointPattern(1, np.empty((0, 1)))])
         s.set_state(ModelState(rng_for(25).standard_normal(9), 0.0, 0.0))
         rng = rng_for(26)
@@ -282,23 +281,44 @@ class TestRunChain:
         a = run_chain(pats, prior, Grid(1, 8), cfg, rng_for(4, 1))
         b = run_chain(pats, prior, Grid(1, 8), cfg, rng_for(4, 1))
         np.testing.assert_array_equal(a.lambda_star, b.lambda_star)
-        np.testing.assert_array_equal(a.latent, b.latent)
+        np.testing.assert_array_equal(a.intensity, b.intensity)
 
     def test_shapes_and_ranges(self):
         prior = SgcpPrior(dim=1)
         cfg = ChainConfig(n_iter=600, n_burn=100, thin=5)
         chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(5))
         assert chain.n_kept == 100
-        assert chain.latent.shape == (100, 8)
+        assert chain.intensity.shape == (100, 8)
         assert np.all(chain.ell > 0.0)
         assert np.all(chain.lambda_star > 0.0)
         assert np.all(chain.intensity >= 0.0)
         assert np.all(chain.intensity <= chain.lambda_star[:, None])
 
+    @pytest.mark.parametrize("n_burn", [0, 100])
+    def test_accept_ell_is_the_post_burn_in_share_of_accepted_moves(self, monkeypatch,
+                                                                      n_burn):
+        accepted = []  # one entry per sweep: did its ell move change log ell?
+        move = _Sampler.update_length_scale
+
+        def spy(self, rng):
+            before = self.state.log_ell
+            move(self, rng)
+            accepted.append(self.state.log_ell != before)
+
+        monkeypatch.setattr(_Sampler, "update_length_scale", spy)
+        truth = IntensityField(Grid(1, 8), np.full(8, 4.0))
+        rng = rng_for(11, 0)
+        pats = [simulate_thinning(4.0, truth, rng) for _ in range(10)]
+        cfg = ChainConfig(n_iter=400, n_burn=n_burn, thin=3)
+        chain = run_chain(pats, SgcpPrior(dim=1), Grid(1, 8), cfg, rng_for(11, 1))
+        assert len(accepted) == cfg.n_iter
+        assert 0 < sum(accepted[n_burn:]) < cfg.n_iter - n_burn
+        assert chain.accept_ell == sum(accepted[n_burn:]) / (cfg.n_iter - n_burn)
+
     def test_dense_size_guard(self):
         # 70 x 70 = 4900 nodes: the sampler refuses the grid before filling a covariance
         with pytest.raises(ValueError, match="4900 nodes"):
-            _Sampler(SgcpPrior(dim=2), Grid(2, 70), ChainConfig())
+            _Sampler(SgcpPrior(dim=2), Grid(2, 70))
 
     def test_short_chain_is_scratch_checked(self, monkeypatch):
         calls = []
@@ -329,7 +349,7 @@ class TestRunChain:
         pats = [simulate_thinning(3.0, truth, rng) for _ in range(5)]
         cfg = ChainConfig(n_iter=60, n_burn=20)
         chain = run_chain(pats, SgcpPrior(dim=2), Grid(2, 6), cfg, rng_for(10, 1))
-        assert chain.latent.shape[1] == 36
+        assert chain.intensity.shape[1] == 36
         assert len(shapes) > 1
         assert set(shapes) == {(6, 1)}
 
@@ -340,7 +360,8 @@ class TestRunChain:
         cfg = ChainConfig(n_iter=8000, n_burn=2000, thin=5)
         chain = run_chain([], prior, Grid(1, 8), cfg, rng_for(42))
         p_lam = stats.kstest(chain.lambda_star, stats.gamma(2.0, scale=1.0).cdf).pvalue
-        p_g = stats.kstest(chain.latent[:, 3], stats.norm.cdf).pvalue
+        latent = special.logit(chain.intensity[:, 3] / chain.lambda_star)
+        p_g = stats.kstest(latent, stats.norm.cdf).pvalue
         assert p_lam > 0.01
         assert p_g > 0.01
 

@@ -12,7 +12,7 @@ import types
 
 import pytest
 
-from sgcp import ChainConfig, Grid, SgcpPrior, initial_state
+from sgcp import Grid, SgcpPrior, initial_state
 from sgcp.inference import _Sampler
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -46,7 +46,7 @@ def test_set_data_takes_exactly_the_sampler_and_its_patterns():
 
 def test_sampler_state_exposes_what_the_calibrate_hook_reads():
     prior, grid = SgcpPrior(dim=1), Grid(1, 8)
-    sampler = _Sampler(prior, grid, ChainConfig())
+    sampler = _Sampler(prior, grid)
     sampler.set_state(initial_state(prior, grid, []))
     assert math.isfinite(sampler.state.log_ell)
     assert math.isfinite(sampler.state.log_lambda_star)
