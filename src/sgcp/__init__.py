@@ -19,7 +19,7 @@ from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
                         initial_state, run_chain)
 from .kernels import (FactorizationError, chol_with_jitter, cov_matrix,
                       exponential_moment_log_bound)
-from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
+from .metrics import contraction, distances_to_truth
 from .point_process import (DataError, Grid, IntensityField, PointPattern, integrate_field,
                             read_field_csv, read_pattern_csv, simulate_thinning,
                             simulate_thinning_batch, write_field_csv, write_pattern_csv)

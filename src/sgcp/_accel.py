@@ -41,10 +41,10 @@ def interp_stencil(
     np.fmax(floor, 0.0, out=floor)  # in place: np.clip's wrapper dominates small calls
     np.fmin(floor, resolution - 2, out=floor)
     base = floor.astype(np.int64)
-    frac = x - floor
-    bits, strides = _corner_table(dim, resolution)
-    flat = np.add.outer(bits @ strides, base @ strides)
-    lohi = np.stack((1.0 - frac, frac))  # (2, n, dim): each axis's weight at bit 0 and 1
+    bits, strides, offsets = _corner_table(dim, resolution)
+    flat = np.add.outer(offsets, base @ strides)
+    lohi = np.empty((2,) + x.shape)  # (2, n, dim): each axis's weight at bit 0 and 1
+    np.subtract(1.0, np.subtract(x, floor, out=lohi[1]), out=lohi[0])
     w = lohi[bits[:, dim - 1], :, dim - 1]
     for a in range(dim - 2, -1, -1):  # each corner's weight multiplies axis d-1 first
         w *= lohi[bits[:, a], :, a]
@@ -52,14 +52,15 @@ def interp_stencil(
 
 
 @lru_cache(maxsize=32)
-def _corner_table(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(bits, strides)``: bit ``a`` of corner ``c`` at ``bits[c, a]``, and
-    the flat C-order stride of each axis."""
+def _corner_table(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bits, strides, offsets)``: bit ``a`` of corner ``c`` at ``bits[c, a]``,
+    the flat C-order stride of each axis, and each corner's offset ``bits @ strides``."""
     bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
     strides = resolution ** np.arange(dim - 1, -1, -1)
-    bits.setflags(write=False)
-    strides.setflags(write=False)
-    return bits, strides
+    offsets = bits @ strides
+    for table in (bits, strides, offsets):
+        table.setflags(write=False)
+    return bits, strides, offsets
 
 
 def interp_apply(values: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -8,10 +8,10 @@ Subcommands::
     calibrate      joint forward/chained sampler calibration check
     verify-priors  analytic tail, moment, and link envelope checks
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure, 5 a validation or acceptance band failed. All outputs are
-deterministic functions of the inputs and the seed — no clocks, no host
-names — so identical invocations produce identical bytes.
+Exit codes: 0 success, 2 configuration error or a run too large to
+allocate, 3 data error, 4 numerical failure, 5 a validation or acceptance
+band failed. All outputs are deterministic functions of the inputs and the
+seed — no clocks, no host names — so identical invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
 from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
 from .kernels import FactorizationError, exponential_moment_log_bound
-from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
+from .metrics import contraction
 from .point_process import (DataError, Grid, IntensityField, integrate_field, read_field_csv,
                             read_pattern_csv, simulate_thinning, write_field_csv, write_json,
                             write_pattern_csv, write_table)
@@ -130,8 +130,8 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     chain = run_chain(patterns, cfg.prior(dim), grid, cfg.experiment.chain, rng_for(seed, 1))
     out = _ensure_out(args)
     file_meta = {"config": cfg.fingerprint(), "seed": str(seed)}
-    mean_field = chain.mean_intensity()
-    write_field_csv(mean_field, os.path.join(out, "posterior_mean.csv"), meta=file_meta)
+    write_field_csv(chain.mean_intensity(), os.path.join(out, "posterior_mean.csv"),
+                    meta=file_meta)
     _write_chain_jsonl(chain, os.path.join(out, "chain.jsonl"),
                        cfg.fingerprint(), seed)
     # the kept intensity draws as a matrix, one draw per row in node order
@@ -155,9 +155,8 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     if truth is not None:
         if truth.grid != chain.grid:
             truth = IntensityField(chain.grid, truth.at(chain.grid.nodes()))
-        dists = distances_to_truth(chain.intensity, truth)
-        summary["distance_mean_to_truth"] = sqrt_l2_distance(mean_field, truth)
-        summary["credible_radius_090"] = credible_radius(dists, 0.9)
+        (summary["distance_mean_to_truth"],
+         summary["credible_radius_090"]) = contraction(chain.intensity, truth)
     write_json(summary, os.path.join(out, "fit.json"))
     print(f"fit {len(patterns)} patterns ({summary['n_points']} points); "
           f"lam* mean {summary['lambda_star_mean']:.4g}, ell mean {summary['ell_mean']:.4g}")
@@ -222,7 +221,7 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
 def cmd_calibrate(args, cfg: HarnessConfig) -> int:
     if not args.z_threshold > 0.0:
         raise ConfigError(f"--z-threshold must be positive, got {args.z_threshold}")
-    grid = Grid(args.dim, args.resolution)
+    grid = Grid(args.dim, args.grid_resolution)
     prior = cfg.prior(args.dim)
     result = geweke_joint_test(
         prior, grid, rng_for(cfg.experiment.seed, 7),
@@ -240,7 +239,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
             "diverged": result.diverged,
             "mutate": args.mutate,
             "n_rounds": result.n_rounds,
-            "resolution": args.resolution,
+            "resolution": args.grid_resolution,
             "seed": cfg.experiment.seed,
             "z_scores": {k: _json_number(v) for k, v in result.z_scores.items()},
         }, os.path.join(args.out, "calibrate.json"))
@@ -338,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=False)
     p.add_argument("--out", default=None, help="optional output directory")
     p.add_argument("--dim", type=int, default=1, help="domain dimension")
-    p.add_argument("--resolution", type=int, default=16, help="grid resolution")
+    p.add_argument("--resolution", type=int, default=16, dest="grid_resolution",
+                   help="the test's own grid resolution, not [experiment] resolution")
     p.add_argument("--rounds", type=int, default=50000, help="calibration rounds")
     p.add_argument("--sweeps", type=int, default=5, help="sampler sweeps per round")
     p.add_argument("--z-threshold", type=float, default=4.0, help="|z| failure threshold")
@@ -392,8 +392,8 @@ def main(argv=None) -> int:
     except (NumericalError, FactorizationError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
+    except (ValueError, MemoryError) as e:  # a MemoryError: the run asked for more than fits
+        print(f"configuration error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

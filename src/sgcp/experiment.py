@@ -37,8 +37,9 @@ import numpy as np
 from ._pool import run_cells, usable_cpus
 from .config import ExperimentConfig, rng_for, seed_fingerprint
 from .inference import run_chain
-from .metrics import credible_radius, distances_to_truth, sqrt_l2_distance
-from .point_process import simulate_thinning, write_table
+from .kernels import check_grid
+from .metrics import contraction
+from .point_process import Grid, simulate_thinning, write_table
 from .priors import SgcpPrior
 from .truths import get_truth
 
@@ -118,13 +119,13 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     patterns = [simulate_thinning(ceiling, truth, data_rng) for _ in range(n)]
     chain_rng = rng_for(config.seed, i_n, rep, 1)
     chain = run_chain(patterns, prior, truth.grid, config.chain, chain_rng)
-    dists = distances_to_truth(chain.intensity, truth)
+    distance_mean, radius = contraction(chain.intensity, truth)
     return CellResult(
         n=n,
         replicate=rep,
         n_points=sum(p.n for p in patterns),
-        distance_mean=sqrt_l2_distance(chain.mean_intensity(), truth),
-        credible_radius_090=credible_radius(dists, 0.9),
+        distance_mean=distance_mean,
+        credible_radius_090=radius,
         accept_ell=chain.accept_ell,
         n_eff_ell=chain.diagnostics["n_eff_ell"],
         n_eff_lambda_star=chain.diagnostics["n_eff_lambda_star"],
@@ -144,6 +145,8 @@ def run_contraction_experiment(
     cell is done.
     """
     truth_spec = get_truth(config.truth)
+    if not config.synthetic:
+        check_grid(Grid(truth_spec.dim, config.resolution))  # before any pattern or fork
     truth = truth_spec.field(config.resolution)
     if prior.dim != truth_spec.dim:
         raise ValueError("prior dimension does not match the truth")

@@ -1,4 +1,4 @@
-"""Distances between intensity fields.
+"""Distances between intensity fields, and the contraction of a posterior.
 
 The working metric is the L2 distance between square roots,
 ``d(a, b) = ( integral (sqrt a - sqrt b)^2 ds )^(1/2)``, evaluated with the
@@ -13,18 +13,8 @@ import numpy as np
 from ._accel import trapezoid_weights
 from .point_process import IntensityField
 
-
-def _check_same_grid(a: IntensityField, b: IntensityField) -> None:
-    if a.grid != b.grid:
-        raise ValueError("intensity fields live on different grids")
-
-
-def sqrt_l2_distance(a: IntensityField, b: IntensityField) -> float:
-    """Root of the integrated squared difference of square-root intensities."""
-    _check_same_grid(a, b)
-    w = trapezoid_weights(a.dim, a.resolution)
-    diff = np.sqrt(a.values) - np.sqrt(b.values)
-    return float(np.sqrt(w @ (diff * diff)))
+# posterior mass of the credible ball whose radius a contraction run reports
+CREDIBLE_LEVEL = 0.9
 
 
 def distances_to_truth(intensity_draws: np.ndarray, truth: IntensityField) -> np.ndarray:
@@ -42,9 +32,14 @@ def distances_to_truth(intensity_draws: np.ndarray, truth: IntensityField) -> np
     return np.sqrt((diff * diff) @ w)
 
 
-def credible_radius(distances: np.ndarray, q: float) -> float:
-    """Empirical q-quantile of posterior draw distances (radius of the
-    smallest centered ball holding mass q)."""
-    if not (0.0 < q < 1.0):
-        raise ValueError("quantile must lie in (0, 1)")
-    return float(np.quantile(np.asarray(distances, dtype=np.float64), q))
+def contraction(intensity_draws: np.ndarray, truth: IntensityField) -> tuple[float, float]:
+    """``(distance_mean, credible_radius_090)`` of posterior draws around the truth.
+
+    ``distance_mean`` is the distance of the draws' mean to the truth, and
+    ``credible_radius_090`` the ``CREDIBLE_LEVEL`` quantile of the per-draw
+    distances: the radius of the smallest ball around the truth that holds
+    that share of the draws.
+    """
+    dists = distances_to_truth(intensity_draws, truth)  # checks the draw matrix
+    mean = np.mean(intensity_draws, axis=0)[None, :]
+    return float(distances_to_truth(mean, truth)[0]), float(np.quantile(dists, CREDIBLE_LEVEL))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -532,6 +533,18 @@ class TestCalibrate:
         assert code == 5
         assert "CALIBRATION FAIL" in capsys.readouterr().out
 
+    def test_grid_flag_stays_out_of_the_fingerprint(self, tmp_path):
+        # calibrate's --resolution sizes its own grid, not experiment.resolution
+        cfg = tmp_path / "h.ini"
+        cfg.write_text("[experiment]\nresolution = 32\n")
+        assert main(["calibrate", "--config", str(cfg), "--rounds", "64", "--resolution", "8",
+                     "--sweeps", "1", "--out", str(tmp_path / "c")]) in (0, 5)
+        assert main(["verify-priors", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        calibrated = json.loads((tmp_path / "c" / "calibrate.json").read_text())
+        verified = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert calibrated["resolution"] == 8
+        assert calibrated["config_fingerprint"] == verified["config_fingerprint"]
+
 
 class TestCalibrateSegmentSplit:
     """The chained segments run on the usable CPUs; results do not depend on how many."""
@@ -602,6 +615,19 @@ class TestCalibrateSegmentSplit:
         assert main(["calibrate", "--dim", "4", "--resolution", "16", "--rounds", "64"]) == 2
         assert "guarded at 4096" in capsys.readouterr().err
         assert not forks and not drawn
+
+    def test_bench_oversized_grid_refused_before_any_pattern_or_fork(self, monkeypatch, capsys,
+                                                                     tmp_path):
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        drawn = []
+        monkeypatch.setattr(experiment, "simulate_thinning", lambda *a: drawn.append(a))
+        out = tmp_path / "b"
+        assert main(["bench", "--truth", "sin2d", "--resolution", "70", "--ns", "2,3",
+                     "--replicates", "1", "--n-iter", "2", "--n-burn", "1",
+                     "--out", str(out)]) == 2
+        assert "grid has 4900 nodes" in capsys.readouterr().err
+        assert not forks and not drawn and not out.exists()
 
 
     @pytest.mark.parametrize("ini, message", [
@@ -703,3 +729,105 @@ def test_import_skips_scipy_stats_and_integrate():
 
 def test_verify_priors_skips_scipy_integrate():
     assert _modules_loaded_by("sgcp.cli.main(['verify-priors'])", ("scipy.integrate",)) == "[]"
+
+
+_CHILD_ADDRESS_SPACE = 1 << 30  # bytes: room for numpy and scipy, none for a runaway array
+
+
+def _run_limited(argv):
+    """``sgcp argv`` in a child with its own address-space limit and one BLAS
+    thread, so an allocation too large fails there whatever the host's
+    overcommit policy."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    return subprocess.run([sys.executable, "-m", "sgcp.cli", *argv], capture_output=True,
+                          text=True, env={**_src_env(), **dict.fromkeys(threads, "1")},
+                          preexec_fn=limit, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--n-iter", "1000000000000"],
+    ["simulate", "--truth", "sin2d", "--resolution", "3000000", "--n", "1"],
+    # each cell fails, in the calling process and in a forked worker alike
+    ["bench", "--ns", "2,3", "--replicates", "2", "--resolution", "8",
+     "--n-iter", "1000000000000", "--n-burn", "1"],
+], ids=["fit", "simulate", "bench"])
+def test_run_that_cannot_be_allocated_is_config_error(sim_dir, tmp_path, argv):
+    out = tmp_path / "x"
+    if argv[0] == "fit":
+        argv = argv + ["--data", str(sim_dir)]
+    r = _run_limited(argv + ["--out", str(out)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("configuration error: Unable to allocate")
+    assert r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_memory_error_without_a_message_is_named(monkeypatch, capsys, tmp_path):
+    # Python's own MemoryError, unlike numpy's, says nothing
+    def simulate_thinning(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("sgcp.cli.simulate_thinning", simulate_thinning)
+    assert main(["simulate", "--n", "1", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: MemoryError\n"
+
+
+@pytest.fixture(scope="module")
+def six_patterns(tmp_path_factory):
+    out = tmp_path_factory.mktemp("six")
+    assert main(["simulate", "--out", str(out), "--n", "6", "--seed", "3",
+                 "--resolution", "8"]) == 0
+    return out
+
+
+_HUGE_INT = str(10 ** 18)  # as n_iter, fit's draw matrix would take exabytes
+
+# (section, key, huge value, tiny value) for every numeric INI key
+_EXTREMES = [
+    ("experiment", "ns", f"1, {_HUGE_INT}", "1, 2"),
+    ("experiment", "replicates", _HUGE_INT, "1"),
+    ("experiment", "resolution", _HUGE_INT, "1"),
+    ("experiment", "seed", _HUGE_INT, "1"),
+    ("experiment", "radius_constant", "1e300", "1e-300"),
+    ("chain", "n_iter", _HUGE_INT, "1"),
+    ("chain", "n_burn", _HUGE_INT, "1"),
+    ("chain", "thin", _HUGE_INT, "1"),
+    ("prior", "ell_shape", "1e300", "1e-300"),
+    ("prior", "ell_rate", "1e300", "1e-300"),
+    ("prior", "lam_shape", "1e300", "1e-300"),
+    ("prior", "lam_rate", "1e300", "1e-300"),
+]
+
+_GATE_COMMANDS = {
+    "verify-priors": ["verify-priors"],
+    "fit": ["fit"],
+    "calibrate": ["calibrate", "--rounds", "64", "--resolution", "8", "--sweeps", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_GATE_COMMANDS))
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for section, key, *values in _EXTREMES for value in values
+], ids=[f"{key}-{size}" for _, key, *_ in _EXTREMES for size in ("huge", "tiny")])
+def test_extreme_value_runs_or_is_refused(six_patterns, tmp_path, capsys, command, section,
+                                          key, value):
+    # a tiny design, 200 sweeps from the first, with one key at an extreme
+    ini = {"experiment": {"resolution": "8"}, "chain": {"n_iter": "200", "n_burn": "0"},
+           "prior": {}}
+    ini[section][key] = value
+    cfg = tmp_path / "h.ini"
+    cfg.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for sec, keys in ini.items()))
+    argv = _GATE_COMMANDS[command] + ["--config", str(cfg), "--out", str(tmp_path / "x")]
+    if command == "fit":
+        argv += ["--data", str(six_patterns)]
+    if (key, value) == ("n_iter", _HUGE_INT):  # sizes an allocation
+        r = _run_limited(argv)
+        code, err = r.returncode, r.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code in (0, 2, 5)
+    assert "Traceback" not in err

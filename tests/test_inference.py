@@ -366,21 +366,21 @@ class TestRunChain:
         assert p_g > 0.01
 
     def test_posterior_concentrates_near_truth(self):
-        from sgcp import simulate_thinning, sqrt_l2_distance
+        from sgcp import contraction, simulate_thinning
         from sgcp.truths import get_truth
         truth = get_truth("sin1d").field(16)
         rng = rng_for(8, 0)
         pats = [simulate_thinning(3.0, truth, rng) for _ in range(150)]
         cfg = ChainConfig(n_iter=4000, n_burn=1000, thin=3)
         chain = run_chain(pats, SgcpPrior(dim=1), Grid(1, 16), cfg, rng_for(8, 1))
-        d = sqrt_l2_distance(chain.mean_intensity(), truth)
+        d, _ = contraction(chain.intensity, truth)
         # a flat-prior-mean field sits ~0.3 away; the posterior must do better
         assert d < 0.15
 
     def test_resolution_doubling_stability(self):
         # the grid is a computational device: doubling it must not move the
         # posterior mean beyond Monte Carlo noise
-        from sgcp import simulate_thinning, sqrt_l2_distance
+        from sgcp import distances_to_truth, simulate_thinning
         from sgcp.truths import get_truth
         truth = get_truth("sin1d").field(64)
         rng = rng_for(12, 0)
@@ -392,7 +392,7 @@ class TestRunChain:
             means[res] = chain.mean_intensity()
         coarse = means[32]
         fine = IntensityField(coarse.grid, means[64].at(coarse.grid.nodes()))
-        assert sqrt_l2_distance(coarse, fine) < 0.08
+        assert distances_to_truth(coarse.values[None, :], fine)[0] < 0.08
 
 
 class TestGeweke:
