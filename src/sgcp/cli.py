@@ -28,7 +28,8 @@ import numpy as np
 from ._accel import BACKEND
 from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
-from .inference import NumericalError, PosteriorChain, geweke_joint_test, run_chain
+from .inference import (NumericalError, PosteriorChain, geweke_joint_test, run_chain,
+                        scaled_mean)
 from .kernels import FactorizationError, exponential_moment_log_bound
 from .metrics import contraction
 from .point_process import (DataError, Grid, IntensityField, integrate_field, read_field_csv,
@@ -142,8 +143,8 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         "accept_ell": chain.accept_ell,
         "backend": BACKEND,
         "config_fingerprint": cfg.fingerprint(),
-        "ell_mean": float(np.mean(chain.ell)),
-        "lambda_star_mean": float(np.mean(chain.lambda_star)),
+        "ell_mean": scaled_mean(chain.ell),
+        "lambda_star_mean": scaled_mean(chain.lambda_star),
         "n_eff_ell": _json_number(chain.diagnostics["n_eff_ell"]),
         "n_eff_lambda_star": _json_number(chain.diagnostics["n_eff_lambda_star"]),
         "n_kept": chain.n_kept,
@@ -175,7 +176,9 @@ def _baseline_slope(path) -> float:
     except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"--baseline {path} is not a JSON file: {e}") from None
     slope = report.get("slope") if isinstance(report, dict) else None
-    if not isinstance(slope, (int, float)) or not math.isfinite(slope):
+    # a JSON true or false loads as a bool, which is an int
+    if (isinstance(slope, bool) or not isinstance(slope, (int, float))
+            or not math.isfinite(slope)):
         raise ConfigError(f"--baseline {path}: 'slope' must be a finite number, got {slope!r}")
     return float(slope)
 
@@ -236,11 +239,13 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
         _ensure_out(args)
         write_json({
             "config_fingerprint": cfg.fingerprint(),
+            "dim": args.dim,
             "diverged": result.diverged,
             "mutate": args.mutate,
             "n_rounds": result.n_rounds,
             "resolution": args.grid_resolution,
             "seed": cfg.experiment.seed,
+            "sweeps_per_round": args.sweeps,
             "z_scores": {k: _json_number(v) for k, v in result.z_scores.items()},
         }, os.path.join(args.out, "calibrate.json"))
     ok = (not result.diverged) and result.max_abs_z < args.z_threshold

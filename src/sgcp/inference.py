@@ -37,7 +37,7 @@ import numpy as np
 
 from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
 from ._pool import run_cells, usable_cpus
-from .kernels import apply_factor, axis_nodes, check_grid, chol_with_jitter, cov_matrix
+from .kernels import apply_factor, check_grid, chol_with_jitter, cov_matrix
 from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
                             simulate_thinning_batch)
 from .priors import SgcpPrior, sample_prior_batch
@@ -76,6 +76,9 @@ FORWARD_BLOCK_VALUES = 1 << 12
 # toward this acceptance rate
 STEP_LOG_ELL_START = 0.3
 ADAPT_TARGET = 0.3
+# a log ell proposal whose ell^d would exceed the largest float is rejected
+# unevaluated; the loader refuses a prior with more than 1e-6 of its mass there
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class NumericalError(RuntimeError):
@@ -137,6 +140,14 @@ def _unit_exponent(*xs: np.ndarray) -> int:
     return -math.frexp(max(float(np.max(np.abs(x))) for x in xs))[1]
 
 
+def scaled_mean(x: np.ndarray) -> float:
+    """``np.mean(x)`` taken on ``x`` scaled by ``_unit_exponent``, so values
+    near the largest float do not overflow their sum; elsewhere it is the
+    same bits."""
+    e = _unit_exponent(x)
+    return math.ldexp(float(np.mean(np.ldexp(x, e))), -e)
+
+
 def effective_sample_size(x: np.ndarray) -> float:
     """Initial-positive-sequence autocorrelation estimate of the ESS; NaN for
     a series with a non-finite value. The ESS does not depend on scale, so the
@@ -189,7 +200,6 @@ class _Sampler:
         self.prior = prior
         self.grid = grid
         self.mutate = mutate_drop_integral
-        self.axis_nodes = axis_nodes(grid.resolution)
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = STEP_LOG_ELL_START
         self.points = np.empty((0, grid.dim))
@@ -231,8 +241,7 @@ class _Sampler:
         self._refresh_likelihood()
 
     def _factor(self, ell: float) -> np.ndarray:
-        K = cov_matrix(ell, self.axis_nodes)
-        L, _ = chol_with_jitter(K)
+        L, _ = chol_with_jitter(cov_matrix(ell, self.grid.resolution))
         return L
 
     def _suffstats(self, g: np.ndarray) -> tuple[float, float]:
@@ -330,6 +339,9 @@ class _Sampler:
         """Whitened random-walk move on log ell (refactorizes on accept)."""
         st = self.state
         log_ell_prop = st.log_ell + self.step_log_ell * rng.standard_normal()
+        if self.grid.dim * log_ell_prop > LOG_FLOAT_MAX:
+            self._last_alpha_ell = 0.0
+            return
         ell_prop = math.exp(log_ell_prop)
         L_prop = self._factor(ell_prop)
         g_prop = apply_factor(L_prop, st.white, self.grid.dim)

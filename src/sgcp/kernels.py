@@ -83,36 +83,29 @@ def kernel_eval(ell: float, s, t) -> float:
 
 
 @lru_cache(maxsize=8)
-def _sq_dists(shape: tuple, data: bytes) -> np.ndarray:
-    """Read-only squared distances ``||s-t||^2`` between the rows of the
-    points with this shape and float64 content, summed from per-axis
-    differences. The cached matrix is the size of ``K``, n×n doubles for n
-    points, so the cache holds at most 8 of them.
-    """
-    points = np.frombuffer(data).reshape(shape)
-    d2 = None
-    for axis in points.T:
-        diff = np.subtract.outer(axis, axis)
-        d2 = diff * diff if d2 is None else d2 + diff * diff
+def _axis_sq_dists(resolution: int) -> np.ndarray:
+    """Read-only squared distances between the nodes of one grid axis."""
+    nodes = Grid(1, resolution).nodes()[:, 0]
+    diff = np.subtract.outer(nodes, nodes)
+    d2 = diff * diff
     d2.setflags(write=False)
     return d2
 
 
-def cov_matrix(ell: float, points: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix ``exp(-ell^2 ||s-t||^2)`` on point pairs.
+def cov_matrix(ell: float, resolution: int) -> np.ndarray:
+    """The r×r covariance ``exp(-ell^2 (s-t)^2)`` between the ``resolution``
+    nodes of one grid axis, the factor ``K1`` of the grid's covariance.
 
-    The squared distances are summed from per-axis differences, so the matrix
-    is exactly symmetric with an exact unit diagonal and no cancellation. They
-    depend only on the points and are cached by their content, so a call on
-    points seen before is one multiply and one ``exp`` into a fresh matrix.
-    When ``ell * ell`` overflows, the matrix is the identity that the finite
-    limit gives, not the ``0 * inf`` NaN the product would put on its diagonal.
+    The squared distances depend only on the resolution and are cached by it,
+    so a call is one multiply and one ``exp`` into a fresh matrix, exactly
+    symmetric with an exact unit diagonal. When ``ell * ell`` overflows, the
+    matrix is the identity that the finite limit gives, not the ``0 * inf``
+    NaN the product would put on its diagonal.
     """
-    points = np.asarray(points, dtype=np.float64)
     ell2 = ell * ell
     if ell2 == math.inf:
-        return np.eye(points.shape[0])
-    K = _sq_dists(points.shape, points.tobytes()) * -ell2
+        return np.eye(resolution)
+    K = _axis_sq_dists(resolution) * -ell2
     return np.exp(K, out=K)
 
 
@@ -163,14 +156,6 @@ def apply_factor(L1: np.ndarray, white: np.ndarray, dim: int) -> np.ndarray:
     return x.ravel()
 
 
-@lru_cache(maxsize=8)
-def axis_nodes(resolution: int) -> np.ndarray:
-    """Read-only node coordinates of one grid axis, shape ``(resolution, 1)``."""
-    nodes = Grid(1, resolution).nodes()
-    nodes.setflags(write=False)
-    return nodes
-
-
 def check_grid(grid: Grid) -> None:
     """Refuse a grid above ``MAX_GRID_NODES`` nodes, before anything is drawn."""
     if grid.n_nodes > MAX_GRID_NODES:
@@ -181,7 +166,7 @@ def check_grid(grid: Grid) -> None:
 def gp_field(ell: float, grid: Grid, white: np.ndarray) -> np.ndarray:
     """The prior field ``g = (L1 ⊗ ... ⊗ L1) @ white`` at the grid nodes,
     ``L1`` the Cholesky factor of the covariance on one axis."""
-    L1, _ = chol_with_jitter(cov_matrix(ell, axis_nodes(grid.resolution)))
+    L1, _ = chol_with_jitter(cov_matrix(ell, grid.resolution))
     return apply_factor(L1, white, grid.dim)
 
 

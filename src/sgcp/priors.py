@@ -18,6 +18,7 @@ near a truth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ _PROBE_XS = np.exp(np.linspace(math.log(PROBE_WINDOW[0]), math.log(PROBE_WINDOW[
                                PROBE_POINTS))
 _PROBE_XS[[0, -1]] = PROBE_WINDOW
 _PROBE_XS.setflags(write=False)
+
+# the length-scale prior may put at most this much of the mass of ell^d above
+# the largest float, where the sampler rejects every proposal
+MAX_MASS_ABOVE_FLOAT = 1e-6
 
 # sup_x |d/dx sqrt(sigmoid(x))|, attained where sigmoid(x) = 1/3
 LOGISTIC_SQRT_LIPSCHITZ = 1.0 / (3.0 * math.sqrt(3.0))
@@ -73,6 +78,13 @@ class LengthScalePriorSpec:
         if self.dim < 1:
             raise ValueError("dim must be positive")
         _check_gamma(self.shape, self.rate)
+        # a Python float product past the largest float is inf, without a
+        # warning, and gammaincc(a, inf) is 0
+        above = _sci_special.gammaincc(self.shape, float(self.rate) * sys.float_info.max)
+        if not above <= MAX_MASS_ABOVE_FLOAT:  # this covers a median that overflows
+            raise ValueError(f"length-scale prior at shape {self.shape!r} and rate "
+                             f"{self.rate!r} puts {above:.3g} of the mass of ell^d above "
+                             f"the largest float; at most {MAX_MASS_ABOVE_FLOAT:g} is allowed")
         if not self.median > 0.0:  # the chain starts at the median's log
             raise ValueError(f"length-scale prior median underflows to 0 at shape "
                              f"{self.shape!r} and rate {self.rate!r}")

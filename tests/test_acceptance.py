@@ -129,7 +129,7 @@ def test_03_mcmc_correctness(report):
     pts = np.array([[0.12], [0.47], [0.83]])
     pattern = PointPattern(1, pts)
     lam = prior.lam_prior
-    L, _ = chol_with_jitter(cov_matrix(1.0, grid.nodes()))
+    L, _ = chol_with_jitter(cov_matrix(1.0, 3))
     u, w = np.polynomial.hermite.hermgauss(40)
     U = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
     W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()

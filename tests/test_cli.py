@@ -307,9 +307,10 @@ class TestConfigHandling:
         ("[experiment]\nradius_constant = inf\n", []),
         ("[chain]\nstep_log_ell = 0.3\n", []),
         ("[prior]\nell_shape = 1e-300\n", []),
+        ("[prior]\nell_shape = 1e300\nell_rate = 1e-300\n", []),
     ], ids=["radius-constant", "design-size", "seed", "lam-shape-nan", "lam-rate-inf",
             "ell-shape-nan", "ell-rate-inf", "radius-constant-inf", "removed-key",
-            "ell-median-underflow"])
+            "ell-median-underflow", "ell-median-overflow"])
     def test_out_of_range_value_rejected_by_every_command(self, tmp_path, command, ini, flags):
         cfg = tmp_path / "h.ini"
         cfg.write_text(ini)
@@ -322,18 +323,33 @@ class TestConfigHandling:
         ["calibrate", "--rounds", "64", "--resolution", "8", "--sweeps", "1"],
     ], ids=["fit", "calibrate"])
     @pytest.mark.parametrize("ini", ["[prior]\nell_shape = 1e300\n",
-                                     "[prior]\nell_rate = 1e-300\n"],
-                             ids=["ell-shape-huge", "ell-rate-tiny"])
+                                     "[prior]\nell_rate = 1e-300\n",
+                                     "[prior]\nell_shape = 1e300\nell_rate = 1e-8\n"],
+                             ids=["ell-shape-huge", "ell-rate-tiny", "ell-median-near-max"])
     def test_length_scale_whose_square_overflows_runs(self, sim_dir, tmp_path, capsys,
                                                       command, ini):
-        # the loader accepts these priors, so the sampler must run on them
+        # the loader accepts these priors, so the sampler must run on them and
+        # write valid JSON; at a median of 1e308 a proposal whose ell overflows
+        # is rejected, and fit's means must not overflow to inf
         cfg = tmp_path / "h.ini"
         cfg.write_text(ini)
         if command[0] == "fit":
             command = command + ["--data", str(sim_dir)]
-        code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+        out = tmp_path / "x"
+        code = main(command + ["--config", str(cfg), "--out", str(out)])
         assert code in (0, 5)
-        assert "finite numbers" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite numbers" not in err and "Traceback" not in err
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        written = sorted(out.glob("*.json*"))
+        assert written
+        for path in written:
+            for line in ([path.read_text()] if path.suffix == ".json"
+                         else path.read_text().splitlines()):
+                json.loads(line, parse_constant=refuse)
 
 
 # --baseline files that bench must refuse before it runs, by name under tmp_path
@@ -343,6 +359,7 @@ BAD_BASELINES = {
     "noslope.json": b'{"ns": [25, 50]}',
     "null.json": b'{"slope": null}',
     "text.json": b'{"slope": "steep"}',
+    "bool.json": b'{"slope": true}',
 }
 
 
@@ -364,7 +381,7 @@ BAD_BASELINES = {
         "verify-priors-delta-inf", "verify-priors-delta-huge",
         "bench-baseline-missing", "bench-baseline-directory", "bench-baseline-bad-json",
         "bench-baseline-not-utf8", "bench-baseline-no-slope", "bench-baseline-null-slope",
-        "bench-baseline-text-slope"])
+        "bench-baseline-text-slope", "bench-baseline-bool-slope"])
 def test_bad_subcommand_argument_is_config_error(tmp_path, argv):
     for name, content in BAD_BASELINES.items():
         (tmp_path / name).write_bytes(content)
@@ -532,6 +549,13 @@ class TestCalibrate:
                      "--sweeps", "4", "--seed", "55", "--mutate"])
         assert code == 5
         assert "CALIBRATION FAIL" in capsys.readouterr().out
+
+    def test_json_names_the_dimension_and_sweeps(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["calibrate", "--dim", "2", "--sweeps", "2", "--rounds", "64",
+                     "--resolution", "4", "--out", str(out)]) in (0, 5)
+        blob = json.loads((out / "calibrate.json").read_text())
+        assert (blob["dim"], blob["sweeps_per_round"]) == (2, 2)
 
     def test_grid_flag_stays_out_of_the_fingerprint(self, tmp_path):
         # calibrate's --resolution sizes its own grid, not experiment.resolution

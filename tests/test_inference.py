@@ -335,12 +335,13 @@ class TestRunChain:
 
     def test_2d_chain_factors_one_axis(self, monkeypatch):
         # the perfbench tracer wraps cov_matrix where sgcp.inference looks it
-        # up; a 2-D chain must fill only r x 1 axis nodes there, never r^2 rows
+        # up; a 2-D chain must ask it for one axis of r nodes, an r x r matrix
         shapes = []
 
-        def spy(ell, points):
-            shapes.append(np.shape(points))
-            return cov_matrix(ell, points)
+        def spy(ell, resolution):
+            K = cov_matrix(ell, resolution)
+            shapes.append((resolution, K.shape))
+            return K
 
         monkeypatch.setattr("sgcp.inference.cov_matrix", spy)
         truth = IntensityField(Grid(2, 6), np.full(36, 3.0))
@@ -351,7 +352,7 @@ class TestRunChain:
         chain = run_chain(pats, SgcpPrior(dim=2), Grid(2, 6), cfg, rng_for(10, 1))
         assert chain.intensity.shape[1] == 36
         assert len(shapes) > 1
-        assert set(shapes) == {(6, 1)}
+        assert set(shapes) == {(6, (6, 6))}
 
     def test_prior_recovery_short(self):
         # with no data the posterior is the prior; marginal of the latent at

@@ -1,6 +1,7 @@
 """The logistic link, hyperprior densities, tail validators, small-ball probe."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestLengthScalePrior:
         with pytest.raises(ValueError, match=r"shape 1e-300 and rate 1\.0"):
             LengthScalePriorSpec(dim=1, shape=1e-300)
         assert LengthScalePriorSpec(dim=1, shape=0.01).median > 0.0
+
+    def test_mass_above_the_largest_float_refused(self):
+        # the median of (1e300, 1e-300) overflows; (1, 1e-308) puts 0.166 of
+        # ell^d above the largest float; both are refused without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape, rate in ((1e300, 1e-300), (1.0, 1e-308)):
+                with pytest.raises(ValueError, match="above the largest float"):
+                    LengthScalePriorSpec(dim=1, shape=shape, rate=rate)
+            assert LengthScalePriorSpec(dim=1, shape=1e300, rate=1e-8).median == 1e308
 
     def test_density_rejects_non_positive(self):
         spec = LengthScalePriorSpec(dim=2)
