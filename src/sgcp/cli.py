@@ -28,8 +28,7 @@ import numpy as np
 from ._accel import BACKEND
 from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
-from .inference import (NumericalError, PosteriorChain, geweke_joint_test, run_chain,
-                        scaled_mean)
+from .inference import NumericalError, geweke_joint_test, run_chain, scaled_mean
 from .kernels import FactorizationError, exponential_moment_log_bound
 from .metrics import contraction
 from .point_process import (DataError, Grid, IntensityField, integrate_field, read_field_csv,
@@ -54,25 +53,6 @@ def _ensure_out(args) -> str:
 def _json_number(value: float) -> float | None:
     """A float as JSON can hold it: ``null`` for a value that is not finite."""
     return value if math.isfinite(value) else None
-
-
-def _write_chain_jsonl(chain: PosteriorChain, path, fingerprint: str, seed: int) -> None:
-    """Per-draw chain records; the first line is a metadata record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "config": fingerprint,
-            "kind": "sgcp-chain",
-            "n_kept": chain.n_kept,
-            "resolution": chain.grid.resolution,
-            "seed": seed,
-        }, sort_keys=True) + "\n")
-        for i in range(chain.n_kept):
-            fh.write(json.dumps({
-                "ell": float(chain.ell[i]),
-                "iteration": int(chain.iterations[i]),
-                "lambda_star": float(chain.lambda_star[i]),
-                "log_post": float(chain.log_post[i]),
-            }, sort_keys=True) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -127,14 +107,18 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
     truth = read_field_csv(truth_path) if os.path.exists(truth_path) else None
     if truth is not None and truth.dim != dim:
         raise DataError(f"{truth_path} is {truth.dim}-D but the patterns are {dim}-D")
-    seed, grid = cfg.experiment.seed, Grid(dim, cfg.experiment.resolution)
-    chain = run_chain(patterns, cfg.prior(dim), grid, cfg.experiment.chain, rng_for(seed, 1))
+    exp = cfg.experiment
+    seed, grid, run = exp.seed, Grid(dim, exp.resolution), exp.chain
+    chain = run_chain(patterns, cfg.prior(dim), grid, run, rng_for(seed, 1))
     out = _ensure_out(args)
     file_meta = {"config": cfg.fingerprint(), "seed": str(seed)}
     write_field_csv(chain.mean_intensity(), os.path.join(out, "posterior_mean.csv"),
                     meta=file_meta)
-    _write_chain_jsonl(chain, os.path.join(out, "chain.jsonl"),
-                       cfg.fingerprint(), seed)
+    # the kept draws' scalars, one row per draw, by the sweep it was kept at
+    write_table(os.path.join(out, "chain.csv"), file_meta,
+                ("iteration", "ell", "lambda_star", "log_post"),
+                zip(range(run.n_burn, run.n_iter, run.thin), chain.ell.tolist(),
+                    chain.lambda_star.tolist(), chain.log_post.tolist()))
     # the kept intensity draws as a matrix, one draw per row in node order
     write_table(os.path.join(out, "intensity_draws.csv"), file_meta,
                 (chain.grid.dim, chain.grid.resolution),
@@ -232,8 +216,10 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
         sweeps_per_round=args.sweeps,
         mutate_drop_integral=args.mutate,
     )
+    unmeasured = sorted(k for k, v in result.z_scores.items() if math.isnan(v))
     for name in sorted(result.z_scores):
-        print(f"z[{name}] = {result.z_scores[name]:+.3f}")
+        z = result.z_scores[name]
+        print(f"z[{name}] = " + ("unmeasured" if math.isnan(z) else f"{z:+.3f}"))
     print(f"rounds completed: {result.n_rounds}; diverged: {result.diverged}")
     if args.out is not None:
         _ensure_out(args)
@@ -251,7 +237,8 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
     ok = (not result.diverged) and result.max_abs_z < args.z_threshold
     print("CALIBRATION " + ("PASS" if ok else "FAIL")
           + f" (max |z| {'inf' if result.diverged else f'{result.max_abs_z:.3f}'}"
-          + f", threshold {args.z_threshold})")
+          + f", threshold {args.z_threshold}"
+          + (f"; unmeasured: {', '.join(unmeasured)})" if unmeasured else ")"))
     return EXIT_OK if ok else EXIT_CHECK
 
 

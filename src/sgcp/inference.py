@@ -56,6 +56,11 @@ SCRATCH_RTOL = 1e-8
 # from this many batch means, and each batch needs at least two rounds
 N_BATCHES = 32
 MIN_ROUNDS = 2 * N_BATCHES
+# a statistic with no spread on either side is unmeasured where the sides'
+# means, scaled to [0.5, 1), differ by at most this, which rounding explains:
+# the chain holds ell and lam* as logs, and exp(log x) can be off by about
+# |log x| <= 745 ulps of x; a larger gap is a certain disagreement
+SPREADLESS_GAP = 1024 * sys.float_info.epsilon
 # the calibration's chained side runs as this many independent chains, the
 # smallest split that runs in parallel: each extra one restarts from the prior
 # and shortens the chains whose drift gives the test its power
@@ -120,7 +125,6 @@ class PosteriorChain:
     lambda_star: np.ndarray
     intensity: np.ndarray   # (n_kept, n_nodes) intensity draws
     log_post: np.ndarray    # unnormalized log posterior at each kept draw
-    iterations: np.ndarray  # sweep index each kept draw was taken from
     accept_ell: float       # share of post-burn-in ell proposals accepted
     diagnostics: dict
 
@@ -425,7 +429,6 @@ def run_chain(
     lam_out = np.empty(n_kept)
     intensity_out = np.empty((n_kept, grid.n_nodes))
     logpost_out = np.empty(n_kept)
-    iter_out = np.empty(n_kept, dtype=np.int64)
 
     kept = 0
     ell_accepts_at_burn = 0
@@ -443,13 +446,11 @@ def run_chain(
             lam_out[kept] = math.exp(st.log_lambda_star)
             intensity_out[kept] = lam_out[kept] * sigmoid(sampler.latent)
             logpost_out[kept] = sampler.log_posterior()
-            iter_out[kept] = k
             kept += 1
 
     diagnostics = {
         "n_eff_ell": effective_sample_size(ell_out),
         "n_eff_lambda_star": effective_sample_size(lam_out),
-        "step_log_ell": sampler.step_log_ell,
     }
     return PosteriorChain(
         grid=grid,
@@ -457,7 +458,6 @@ def run_chain(
         lambda_star=lam_out,
         intensity=intensity_out,
         log_post=logpost_out,
-        iterations=iter_out,
         # the ell move is proposed once per sweep
         accept_ell=(sampler.accepts["ell"] - ell_accepts_at_burn)
         / (config.n_iter - config.n_burn),
@@ -481,9 +481,11 @@ class GewekeResult:
 
     @property
     def max_abs_z(self) -> float:
+        """The largest |z| over the measured statistics: NaN if none was measured."""
         if self.diverged:
             return float("inf")
-        return max(abs(v) for v in self.z_scores.values())
+        return max((abs(v) for v in self.z_scores.values() if not math.isnan(v)),
+                   default=math.nan)
 
 
 def _batch_means_se(x: np.ndarray) -> float:
@@ -641,5 +643,9 @@ def geweke_joint_test(
         sc_se = _batch_means_se(chn)
         denom = math.sqrt(mc_se**2 + sc_se**2)
         diff = float(np.mean(chn) - np.mean(fwd))
-        z_scores[name] = diff / denom if denom > 0.0 else 0.0
+        if denom > 0.0:
+            z_scores[name] = diff / denom
+        else:  # no spread on either side
+            z_scores[name] = (math.copysign(math.inf, diff) if abs(diff) > SPREADLESS_GAP
+                              else math.nan)
     return GewekeResult(z_scores, False, n_rounds)

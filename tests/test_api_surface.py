@@ -115,3 +115,35 @@ def test_every_definition_is_referenced_outside_itself():
                        for mod, line in uses.get(node.name, [])):
                 unreferenced.add(f"{stem}.{node.name}")
     assert unreferenced == set(REFERENCES)
+
+
+# the only functions that open a file for writing: the one CSV table writer,
+# the one JSON writer, and a forked worker's result pipe, which is not a file
+WRITERS = {"point_process.write_table", "point_process.write_json", "_pool._child"}
+
+
+def _writing_opens(node, owner):
+    """The enclosing ``module.function`` of each ``open(…)`` or ``.open(…)`` below
+    ``node`` whose mode writes, or is not a string literal."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owner = f"{owner}.{node.name}"
+    if isinstance(node, ast.Call):
+        by_name = isinstance(node.func, ast.Name) and node.func.id == "open"
+        if by_name or isinstance(node.func, ast.Attribute) and node.func.attr == "open":
+            position = 1 if by_name else 0  # open(path, mode), path.open(mode)
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[position] if len(node.args) > position else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax")):
+                yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from _writing_opens(child, owner)
+
+
+def test_only_the_writers_open_files_for_writing():
+    package = Path(sgcp.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found.update(_writing_opens(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert found == WRITERS

@@ -72,6 +72,12 @@ class TestSimulate:
         assert code == 2
 
 
+def _log_posts(out):
+    """The ``log_post`` column of a fit's ``chain.csv``."""
+    rows = [ln for ln in (out / "chain.csv").read_text().splitlines() if not ln.startswith("#")]
+    return [float(row.split(",")[3]) for row in rows[1:]]
+
+
 class TestFit:
     def test_fit_and_repeat(self, sim_dir, tmp_path):
         args = ["fit", "--data", str(sim_dir), "--seed", "11",
@@ -86,7 +92,7 @@ class TestFit:
             "accept_ell", "backend", "config_fingerprint", "credible_radius_090",
             "distance_mean_to_truth", "ell_mean", "lambda_star_mean", "n_eff_ell",
             "n_eff_lambda_star", "n_kept", "n_patterns", "n_points", "resolution", "seed"}
-        for name in ["fit.json", "posterior_mean.csv", "chain.jsonl",
+        for name in ["fit.json", "posterior_mean.csv", "chain.csv",
                      "intensity_draws.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         field = read_field_csv(out1 / "posterior_mean.csv")
@@ -115,7 +121,7 @@ class TestFit:
         assert summary["n_patterns"] == 10
         assert math.isfinite(summary["distance_mean_to_truth"])
         assert read_field_csv(out1 / "posterior_mean.csv").grid.dim == 2
-        for name in ["fit.json", "posterior_mean.csv", "chain.jsonl",
+        for name in ["fit.json", "posterior_mean.csv", "chain.csv",
                      "intensity_draws.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -124,19 +130,18 @@ class TestFit:
         assert main(["fit", "--data", str(sim_dir), "--out", str(out),
                      "--seed", "11", "--n-iter", "1500", "--n-burn", "500",
                      "--resolution", "16"]) == 0
-        lines = (out / "chain.jsonl").read_text().splitlines()
-        meta = json.loads(lines[0])
-        assert meta["kind"] == "sgcp-chain"
-        assert meta["seed"] == 11
-        assert meta["n_kept"] == len(lines) - 1 == 200  # (1500-500)/5
-        draw = json.loads(lines[1])
-        assert set(draw) == {"ell", "iteration", "lambda_star", "log_post"}
-        assert draw["iteration"] == 500
+        lines = (out / "chain.csv").read_text().splitlines()
+        meta = [ln for ln in lines if ln.startswith("#")]
+        assert "# seed=11" in meta
+        header, *draws = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        assert header == ["iteration", "ell", "lambda_star", "log_post"]
+        assert len(draws) == 200  # (1500-500)/5
+        assert [int(d[0]) for d in draws] == list(range(500, 1500, 5))  # from n_burn
         # draws matrix: comment meta, a dim,resolution header, one row per draw
         rows = [ln for ln in (out / "intensity_draws.csv").read_text().splitlines()
                 if not ln.startswith("#")]
         assert rows[0] == "1,16"
-        assert len(rows) - 1 == meta["n_kept"]
+        assert len(rows) - 1 == len(draws)
         assert all(len(r.split(",")) == 16 for r in rows[1:])
 
     @pytest.mark.parametrize("lam_shape", ["0.001", "0.0005"])
@@ -153,8 +158,7 @@ class TestFit:
             assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out),
                          "--n-iter", "200", "--n-burn", "50", "--resolution", "8",
                          "--seed", str(seed)]) == 0
-            draws = [json.loads(ln) for ln in (out / "chain.jsonl").read_text().splitlines()[1:]]
-            assert all(math.isfinite(d["log_post"]) for d in draws)
+            assert all(map(math.isfinite, _log_posts(out)))
 
     def test_length_scale_that_underflows_to_zero_runs(self, tmp_path):
         # the chain starts at the prior median, about 1e-301, and a log ell
@@ -169,8 +173,7 @@ class TestFit:
             assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out),
                          "--n-iter", "200", "--n-burn", "50", "--resolution", "8",
                          "--seed", str(seed)]) == 0
-            draws = [json.loads(ln) for ln in (out / "chain.jsonl").read_text().splitlines()[1:]]
-            assert all(math.isfinite(d["log_post"]) for d in draws)
+            assert all(map(math.isfinite, _log_posts(out)))
 
     def test_missing_patterns_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -557,6 +560,20 @@ class TestCalibrate:
         blob = json.loads((out / "calibrate.json").read_text())
         assert (blob["dim"], blob["sweeps_per_round"]) == (2, 2)
 
+    def test_statistic_without_spread_is_unmeasured(self, tmp_path, capsys):
+        # at ell_shape 1e300 neither side's ell draws vary: ell is reported as
+        # unmeasured, not as a perfect z of 0
+        cfg = tmp_path / "h.ini"
+        cfg.write_text("[prior]\nell_shape = 1e300\n")
+        out = tmp_path / "c"
+        code = main(["calibrate", "--config", str(cfg), "--rounds", "64", "--resolution", "8",
+                     "--sweeps", "1", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert "z[ell] = unmeasured" in lines
+        assert lines[-1].endswith("; unmeasured: ell)")
+        assert code == (0 if lines[-1].startswith("CALIBRATION PASS") else 5)
+        assert json.loads((out / "calibrate.json").read_text())["z_scores"]["ell"] is None
+
     def test_grid_flag_stays_out_of_the_fingerprint(self, tmp_path):
         # calibrate's --resolution sizes its own grid, not experiment.resolution
         cfg = tmp_path / "h.ini"
@@ -826,6 +843,7 @@ _EXTREMES = [
 ]
 
 _GATE_COMMANDS = {
+    "simulate": ["simulate", "--n", "6"],
     "verify-priors": ["verify-priors"],
     "fit": ["fit"],
     "calibrate": ["calibrate", "--rounds", "64", "--resolution", "8", "--sweeps", "1"],

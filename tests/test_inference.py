@@ -428,6 +428,32 @@ class TestGeweke:
         assert not res.diverged
         assert math.isfinite(res.z_scores["ell"]) and res.z_scores["ell"] != 0.0
 
+    def test_length_scale_without_spread_is_unmeasured(self):
+        # at shape 1e300 every ell draw on both sides is one value, to the
+        # rounding of the chain's log ell: no z can be formed for ell
+        prior = SgcpPrior(dim=1, ell_prior=LengthScalePriorSpec(dim=1, shape=1e300))
+        res = geweke_joint_test(prior, Grid(1, 8), rng_for(7), n_rounds=64, sweeps_per_round=1)
+        assert not res.diverged
+        assert math.isnan(res.z_scores["ell"])
+        measured = [z for name, z in res.z_scores.items() if name != "ell"]
+        assert all(map(math.isfinite, measured))
+        assert res.max_abs_z == max(map(abs, measured))
+
+    def test_length_scales_without_spread_that_differ_are_infinitely_apart(self, monkeypatch):
+        # both sides without spread, the forward side's ell at twice the chain's
+        forward_stats = sgcp.inference._forward_stats
+
+        def doubled_ell(*args):
+            rows = forward_stats(*args)
+            rows[:, _GEWEKE_STATS.index("ell")] *= 2.0
+            return rows
+
+        monkeypatch.setattr(sgcp.inference, "_forward_stats", doubled_ell)
+        prior = SgcpPrior(dim=1, ell_prior=LengthScalePriorSpec(dim=1, shape=1e300))
+        res = geweke_joint_test(prior, Grid(1, 8), rng_for(7), n_rounds=64, sweeps_per_round=1)
+        assert res.z_scores["ell"] == -math.inf
+        assert res.max_abs_z == math.inf
+
     def test_forward_blocks_match_sequential_single_draws(self):
         # two-sample KS of the block-drawn forward side against 4000 rounds of
         # one prior draw and one thinning each
