@@ -1,14 +1,15 @@
 """A fork pool for independent cells of work, with results that do not depend
 on how many processes ran them.
 
-A cell is one call ``run(k)``: a bench cell of ``experiment`` or a chained
-segment of ``inference.geweke_joint_test``. Each cell must be a function of
-its index alone (its random stream included), so gathering the results by
-index gives the same value at any process count. The calling process runs
-cells too; the others run in children made by ``os.fork``, each on its own
-copy of the caller's memory. So the caller's ``RUSAGE_SELF`` does not count
-them, and a patch made before the call reaches every child, but whatever
-state it keeps changes only in the process that ran the cell.
+A cell is one call ``run(k)`` at a position ``k``: a bench cell of
+``experiment`` or a chained segment of ``inference.geweke_joint_test``. Each
+cell must be a function of its position alone (its random stream included),
+so gathering the results by position gives the same value at any process
+count. The calling process runs cells too; the others run in children made
+by ``os.fork``, each on its own copy of the caller's memory. So the caller's
+``RUSAGE_SELF`` does not count them, and a patch made before the call
+reaches every child, but whatever state it keeps changes only in the process
+that ran the cell.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import struct
 import threading
 import traceback
 
-_RECORD = struct.Struct("=I")  # one hand-out: a position in the hand-out order
+_RECORD = struct.Struct("=I")  # one hand-out: a cell's position
+MAX_CELLS = 1 << (8 * _RECORD.size)  # the most positions a record can address
 
 
 def usable_cpus() -> int:
@@ -29,24 +31,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_cells(order: list, workers: int, run) -> list:
-    """``[run(k) for k in range(len(order))]``, on ``workers`` processes.
+def run_cells(count: int, workers: int, run) -> list:
+    """``[run(k) for k in range(count)]``, on ``workers`` processes.
 
-    ``order`` is a permutation of the cell indices: the order in which cells
-    are handed out. The parent forks ``workers - 1`` children, then a feeder
-    thread writes the positions ``0 .. len(order) - 1`` into a pipe, one
-    record per write (so no record is ever split), and closes it. Every
-    process, the parent included, takes one record at a time until end of
-    file, runs that cell and keeps its result. A child then pickles its
-    results, or the exceptions that stopped it, into its own pipe and leaves
-    by ``os._exit``. A process whose cell raises empties the queue, so every
-    process stops after its current cell. The parent reaps every child before
-    it returns or raises, and re-raises the failure earliest in ``order``: the
-    one a single process running ``order`` would have met. A child that ends
-    without sending its results is an error.
+    Cells are handed out in position order, at most ``MAX_CELLS`` of them; a
+    caller that wants another order maps each position to its cell inside
+    ``run``. The parent forks ``workers - 1`` children, then a feeder thread
+    writes the positions ``0 .. count - 1`` into a pipe, one record per write
+    (so no record is ever split), and closes it. Every process, the parent
+    included, takes one record at a time until end of file, runs that cell
+    and keeps its result. A child then pickles its results, or the exceptions
+    that stopped it, into its own pipe and leaves by ``os._exit``. A process
+    whose cell raises empties the queue, so every process stops after its
+    current cell. The parent reaps every child before it returns or raises,
+    and re-raises the failure at the earliest position: the one a single
+    process would have met. A child that ends without sending its results is
+    an error.
     """
     queue_r, queue_w = os.pipe()
-    feeder = threading.Thread(target=_feed, args=(queue_w, len(order)))
+    feeder = threading.Thread(target=_feed, args=(queue_w, count))
     children = {}  # pid -> read end of the child's result pipe
     sent, status = {}, {}
     results, failures = {}, []
@@ -56,11 +59,11 @@ def run_cells(order: list, workers: int, run) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(queue_w)  # else the queue never reaches end of file here
-                _child(queue_r, result_w, order, run)
+                _child(queue_r, result_w, run)
             os.close(result_w)
             children[pid] = open(result_r, "rb")
         feeder.start()  # after the last fork: no child inherits a running thread
-        _take_cells(queue_r, order, run, results, failures)
+        _take_cells(queue_r, run, results, failures)
         for pid, fh in children.items():
             sent[pid] = fh.read()
     finally:
@@ -77,7 +80,7 @@ def run_cells(order: list, workers: int, run) -> list:
         try:
             child_results, child_failures = pickle.loads(sent[pid])
         except (EOFError, pickle.UnpicklingError):
-            failures.append((len(order), RuntimeError(
+            failures.append((count, RuntimeError(
                 f"worker {pid} ended (wait status {status[pid]}) "
                 "without sending its cells")))
             continue
@@ -85,7 +88,7 @@ def run_cells(order: list, workers: int, run) -> list:
         failures.extend(child_failures)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return [results[k] for k in range(len(order))]
+    return [results[k] for k in range(count)]
 
 
 def _feed(queue_w: int, count: int) -> None:
@@ -103,24 +106,24 @@ def _drain(queue_r: int) -> None:
         pass
 
 
-def _take_cells(queue_r: int, order: list, run, results: dict, failures: list) -> None:
+def _take_cells(queue_r: int, run, results: dict, failures: list) -> None:
     """Run the cells the queue hands out until it is empty or a cell raises."""
     while record := os.read(queue_r, _RECORD.size):
         (pos,) = _RECORD.unpack(record)
         try:
-            results[order[pos]] = run(order[pos])
+            results[pos] = run(pos)
         except BaseException as exc:  # sent to the parent, or re-raised by it
             failures.append((pos, exc))
             _drain(queue_r)
             return
 
 
-def _child(queue_r: int, result_w: int, order: list, run) -> None:
+def _child(queue_r: int, result_w: int, run) -> None:
     """Body of a forked worker: run cells from the queue, send them back, exit."""
     status = 1
     try:
         results, failures = {}, []
-        _take_cells(queue_r, order, run, results, failures)
+        _take_cells(queue_r, run, results, failures)
         for _, exc in failures:
             if hasattr(exc, "add_note"):  # the parent's traceback cannot show this one
                 exc.add_note(f"raised in worker {os.getpid()}:\n"

@@ -128,6 +128,7 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         "backend": BACKEND,
         "config_fingerprint": cfg.fingerprint(),
         "ell_mean": scaled_mean(chain.ell),
+        "evaluations_per_sweep": chain.diagnostics["evaluations_per_sweep"],
         "lambda_star_mean": scaled_mean(chain.lambda_star),
         "n_eff_ell": _json_number(chain.diagnostics["n_eff_ell"]),
         "n_eff_lambda_star": _json_number(chain.diagnostics["n_eff_lambda_star"]),

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._pool import MAX_CELLS
 from .inference import ChainConfig
 from .priors import LengthScalePriorSpec, MaxIntensityPriorSpec, SgcpPrior
 
@@ -118,6 +119,9 @@ class ExperimentConfig:
             raise ValueError("design sizes must be strictly increasing")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+        if len(self.ns) * self.replicates > MAX_CELLS:
+            raise ValueError(f"the design has {len(self.ns) * self.replicates} cells "
+                             f"(design sizes x replicates); at most {MAX_CELLS} can run")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 < self.radius_constant < math.inf:

@@ -18,14 +18,14 @@ Cells are independent, and each one's data and chain streams derive from
 use: ``W = min(cells, usable_cpus())`` processes, the calling process and
 ``W - 1`` children made by ``os.fork``, on the fork pool of ``_pool``, which
 ``inference.geweke_joint_test`` shares. Cells are handed out largest ``n``
-first from a shared queue and gathered by cell index, so the report, its
-files and the ``progress`` lines are the same bytes at any ``W``. At
-``W == 1``, and in synthetic mode, every cell runs in the calling process
-and nothing is forked. Each child holds its own copy of the sampler's
-memory: at the benchmark's 64-node, 400-pattern size a child peaks near
-50 MiB, and the calling process's ``RUSAGE_SELF`` does not count it.
-Anything that patches ``run_chain`` in this module sees only the cells the
-calling process ran.
+first, each queue position mapped to its cell by arithmetic, and sorted back
+into design order, so the report, its files and the ``progress`` lines are
+the same bytes at any ``W``. At ``W == 1``, and in synthetic mode, every cell
+runs in the calling process and nothing is forked. Each child holds its own
+copy of the sampler's memory: at the benchmark's 64-node, 400-pattern size a
+child peaks near 50 MiB, and the calling process's ``RUSAGE_SELF`` does not
+count it. Anything that patches ``run_chain`` in this module sees only the
+cells the calling process ran.
 """
 
 from __future__ import annotations
@@ -152,11 +152,11 @@ def run_contraction_experiment(
         raise ValueError("prior dimension does not match the truth")
     ceiling = float(np.max(truth.values))
 
-    design = [(i_n, rep) for i_n in range(len(config.ns)) for rep in range(config.replicates)]
-    largest_first = sorted(range(len(design)), key=lambda k: -config.ns[design[k][0]])
-    workers = 1 if config.synthetic else min(len(design), usable_cpus())
-    cells = run_cells(largest_first, workers,
-                      lambda k: _run_cell(config, prior, truth, ceiling, *design[k]))
+    count, reps = len(config.ns) * config.replicates, config.replicates
+    workers = 1 if config.synthetic else min(count, usable_cpus())
+    cells = run_cells(count, workers, lambda k: _run_cell(  # the largest n first
+        config, prior, truth, ceiling, len(config.ns) - 1 - k // reps, k % reps))
+    cells.sort(key=lambda c: (c.n, c.replicate))  # back to design order
     if progress is not None and not config.synthetic:
         for cell in cells:
             progress(cell)

@@ -189,9 +189,9 @@ class _Sampler:
     Caches the one-axis Cholesky factor ``L1`` for the current length scale
     (the field is ``apply_factor(L1, white, dim)``, so a length-scale proposal
     fills and factors an r×r matrix for r nodes per axis), the interpolation
-    stencil of the data points, the two likelihood statistics and the
-    collapsed target of the moves. A grid that ``check_grid`` refuses is
-    refused here, before anything is filled.
+    stencil of the data points, and the two likelihood statistics and the
+    collapsed target of the moves, which ``_evaluate`` alone computes. A grid
+    that ``check_grid`` refuses is refused here, before anything is filled.
     ``mutate_drop_integral`` deliberately corrupts the model (for
     calibration-test power checks) by dropping ``n int s`` from the target,
     from the joint likelihood and from the rate of the lam* draw.
@@ -206,8 +206,7 @@ class _Sampler:
         self.mutate = mutate_drop_integral
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = STEP_LOG_ELL_START
-        self.points = np.empty((0, grid.dim))
-        self.stencil = interp_stencil(grid.dim, grid.resolution, self.points)
+        self.stencil = interp_stencil(grid.dim, grid.resolution, np.empty((0, grid.dim)))
         self.n_patterns = 0
         self.n_points = 0
         self._post_shape = prior.lam_prior.shape  # a + N, the shape of lam* | g
@@ -215,9 +214,9 @@ class _Sampler:
         self._L = None
         self._g = None
         self._log_prior_ell = 0.0  # ell's prior log density at the current state
-        self._suff = (0.0, 0.0)
-        self._loglik = 0.0
+        self._suff, self._loglik = (0.0, 0.0), 0.0  # as _evaluate returns them
         self.accepts = {"ell": 0, "lambda": 0}
+        self.evaluations = 0  # the moves' target evaluations: slice brackets, ell proposals
 
     # -- data and state management ------------------------------------
 
@@ -226,30 +225,32 @@ class _Sampler:
             if p.dim != self.grid.dim:
                 raise ValueError("pattern dimension does not match the grid")
         self.n_patterns = len(patterns)
-        if patterns:
-            self.points = np.ascontiguousarray(
-                np.concatenate([p.points for p in patterns], axis=0))
-        else:
-            self.points = np.empty((0, self.grid.dim))
-        self.n_points = self.points.shape[0]
+        points = np.concatenate([np.empty((0, self.grid.dim))] + [p.points for p in patterns])
+        self.n_points = points.shape[0]
         self._post_shape = self.prior.lam_prior.shape + self.n_points
-        self.stencil = interp_stencil(self.grid.dim, self.grid.resolution, self.points)
+        self.stencil = interp_stencil(self.grid.dim, self.grid.resolution, points)
         if self.state is not None:
-            self._refresh_likelihood()
+            self._suff, self._loglik = self._evaluate(self._g)
 
     def set_state(self, state: ModelState) -> None:
         self.state = state
         self._log_prior_ell = self.prior.ell_prior.log_density_at_log(state.log_ell)
-        self._L = self._factor(math.exp(state.log_ell))
+        self._L = self._factor(state.log_ell)
         self._g = apply_factor(self._L, state.white, self.grid.dim)
-        self._refresh_likelihood()
+        self._suff, self._loglik = self._evaluate(self._g)
 
-    def _factor(self, ell: float) -> np.ndarray:
-        L, _ = chol_with_jitter(cov_matrix(ell, self.grid.resolution))
+    def _factor(self, log_ell: float) -> np.ndarray:
+        L, _ = chol_with_jitter(cov_matrix(math.exp(log_ell), self.grid.resolution))
         return L
 
-    def _suffstats(self, g: np.ndarray) -> tuple[float, float]:
-        return sgcp_suffstats(g, self.weights, self.stencil)
+    def _evaluate(self, g: np.ndarray) -> tuple[tuple[float, float], float]:
+        """The likelihood statistics ``(sum log s, int s)`` of the field ``g``
+        and the log likelihood the moves target, lam* integrated out."""
+        suff = sgcp_suffstats(g, self.weights, self.stencil)
+        sum_log_s, int_s = suff
+        if not math.isfinite(sum_log_s):
+            return suff, -math.inf
+        return suff, sum_log_s - self._post_shape * math.log(self._ceiling_rate(int_s))
 
     def _loglik_from(self, suff: tuple[float, float], log_lambda_star: float) -> float:
         """Joint log likelihood of the data given the field and lam*."""
@@ -266,17 +267,6 @@ class _Sampler:
         if self.mutate:
             return self.prior.lam_prior.rate
         return self.prior.lam_prior.rate + self.n_patterns * int_s
-
-    def _target_from(self, suff: tuple[float, float]) -> float:
-        """Log likelihood the moves target, lam* integrated out."""
-        sum_log_s, int_s = suff
-        if not math.isfinite(sum_log_s):
-            return -math.inf
-        return sum_log_s - self._post_shape * math.log(self._ceiling_rate(int_s))
-
-    def _refresh_likelihood(self) -> None:
-        self._suff = self._suffstats(self._g)
-        self._loglik = self._target_from(self._suff)
 
     # -- diagnostics ----------------------------------------------------
 
@@ -299,8 +289,7 @@ class _Sampler:
     def scratch_check(self) -> None:
         """Recompute the cached target from the bare state and compare."""
         st = self.state
-        g = apply_factor(self._factor(math.exp(st.log_ell)), st.white, self.grid.dim)
-        ll = self._target_from(self._suffstats(g))
+        _, ll = self._evaluate(apply_factor(self._factor(st.log_ell), st.white, self.grid.dim))
         scale = 1.0 + abs(ll)
         if not math.isclose(ll, self._loglik, rel_tol=0.0, abs_tol=SCRATCH_RTOL * scale):
             raise NumericalError(
@@ -324,13 +313,12 @@ class _Sampler:
         for _ in range(MAX_SHRINK):
             c, s = math.cos(theta), math.sin(theta)
             g_prop = g * c + g_nu * s
-            suff_prop = self._suffstats(g_prop)
-            ll_prop = self._target_from(suff_prop)
+            suff_prop, ll_prop = self._evaluate(g_prop)
+            self.evaluations += 1
             if ll_prop > log_u:
                 st.white = st.white * c + nu * s
                 self._g = g_prop
-                self._suff = suff_prop
-                self._loglik = ll_prop
+                self._suff, self._loglik = suff_prop, ll_prop
                 return
             if theta < 0.0:
                 lo = theta
@@ -346,11 +334,10 @@ class _Sampler:
         if self.grid.dim * log_ell_prop > LOG_FLOAT_MAX:
             self._last_alpha_ell = 0.0
             return
-        ell_prop = math.exp(log_ell_prop)
-        L_prop = self._factor(ell_prop)
+        L_prop = self._factor(log_ell_prop)
         g_prop = apply_factor(L_prop, st.white, self.grid.dim)
-        suff_prop = self._suffstats(g_prop)
-        ll_prop = self._target_from(suff_prop)
+        suff_prop, ll_prop = self._evaluate(g_prop)
+        self.evaluations += 1
         log_prior_prop = self.prior.ell_prior.log_density_at_log(log_ell_prop)
         log_alpha = (
             ll_prop - self._loglik
@@ -364,8 +351,7 @@ class _Sampler:
             self._log_prior_ell = log_prior_prop
             self._L = L_prop
             self._g = g_prop
-            self._suff = suff_prop
-            self._loglik = ll_prop
+            self._suff, self._loglik = suff_prop, ll_prop
             self.accepts["ell"] += 1
         self._last_alpha_ell = alpha
 
@@ -424,20 +410,24 @@ def run_chain(
     sampler.set_data(patterns)
     sampler.set_state(initial_state(prior, grid, patterns))
 
-    n_kept = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
-    ell_out = np.empty(n_kept)
-    lam_out = np.empty(n_kept)
-    intensity_out = np.empty((n_kept, grid.n_nodes))
-    logpost_out = np.empty(n_kept)
+    n_sampled = config.n_iter - config.n_burn
+    n_kept = (n_sampled + config.thin - 1) // config.thin
+    try:
+        ell_out, lam_out, logpost_out = np.empty((3, n_kept))
+        intensity_out = np.empty((n_kept, grid.n_nodes))
+    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than it can address
+        raise MemoryError(f"Unable to allocate {n_kept * (grid.n_nodes + 3) * 8} bytes for the "
+                          f"kept draws of [chain] n_iter = {config.n_iter}, n_burn = "
+                          f"{config.n_burn}, thin = {config.thin}") from None
 
     kept = 0
-    ell_accepts_at_burn = 0
+    ell_accepts_at_burn = evaluations_at_burn = 0
     for k in range(config.n_iter):
         sampler.sweep(rng)
         if k < config.n_burn:
             sampler.adapt_steps(k)
         if k == config.n_burn - 1:
-            ell_accepts_at_burn = sampler.accepts["ell"]
+            ell_accepts_at_burn, evaluations_at_burn = sampler.accepts["ell"], sampler.evaluations
         if (k + 1) % CHECK_EVERY == 0 or k + 1 == config.n_iter:
             sampler.scratch_check()
         if k >= config.n_burn and (k - config.n_burn) % config.thin == 0:
@@ -449,6 +439,7 @@ def run_chain(
             kept += 1
 
     diagnostics = {
+        "evaluations_per_sweep": (sampler.evaluations - evaluations_at_burn) / n_sampled,
         "n_eff_ell": effective_sample_size(ell_out),
         "n_eff_lambda_star": effective_sample_size(lam_out),
     }
@@ -459,8 +450,7 @@ def run_chain(
         intensity=intensity_out,
         log_post=logpost_out,
         # the ell move is proposed once per sweep
-        accept_ell=(sampler.accepts["ell"] - ell_accepts_at_burn)
-        / (config.n_iter - config.n_burn),
+        accept_ell=(sampler.accepts["ell"] - ell_accepts_at_burn) / n_sampled,
         diagnostics=diagnostics,
     )
 
@@ -623,7 +613,7 @@ def geweke_joint_test(
     streams = rng.spawn(CHAINED_SEGMENTS)
     bounds = [n_rounds * k // CHAINED_SEGMENTS for k in range(CHAINED_SEGMENTS + 1)]
     segments = run_cells(
-        list(range(CHAINED_SEGMENTS)), min(CHAINED_SEGMENTS, usable_cpus()),
+        CHAINED_SEGMENTS, min(CHAINED_SEGMENTS, usable_cpus()),
         lambda k: _chained_segment(prior, grid, mutate_drop_integral, streams[k],
                                    bounds[k + 1] - bounds[k], sweeps_per_round))
     completed = 0

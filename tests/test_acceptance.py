@@ -11,6 +11,8 @@ directly to the terminal (bypassing capture) and then asserts, so a plain
 ``pytest -v`` run shows the whole scoreboard.  The contraction check re-runs
 the full default benchmark and compares its fitted slope against the frozen
 baseline in ``benchmarks/baseline_report.json``; expect a few minutes.
+Checks 3 and 5 carry the ``slow`` marker, so ``pytest -m "not slow"`` leaves
+them out of a quick local run.
 """
 
 import dataclasses
@@ -102,6 +104,7 @@ def test_02_simulation_exactness(report):
            f"chi2 p {p_value:.3f}, halves corr {corr:+.4f}, budget 30s", t0)
 
 
+@pytest.mark.slow
 def test_03_mcmc_correctness(report):
     """Prior recovery, joint calibration, and a dense quadrature oracle."""
     t0 = time.perf_counter()
@@ -204,6 +207,7 @@ def test_04_distance_correctness(report):
            f"constants exact {exact_ok}, MC err {worst:.2e}, budget 10s", t0)
 
 
+@pytest.mark.slow
 def test_05_contraction_rate(report):
     """Full default benchmark against the frozen slope baseline."""
     t0 = time.perf_counter()

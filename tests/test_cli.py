@@ -90,8 +90,9 @@ class TestFit:
         assert summary["lambda_star_mean"] > 0.0
         assert set(summary) == {  # distance and radius: truth.csv was present
             "accept_ell", "backend", "config_fingerprint", "credible_radius_090",
-            "distance_mean_to_truth", "ell_mean", "lambda_star_mean", "n_eff_ell",
-            "n_eff_lambda_star", "n_kept", "n_patterns", "n_points", "resolution", "seed"}
+            "distance_mean_to_truth", "ell_mean", "evaluations_per_sweep", "lambda_star_mean",
+            "n_eff_ell", "n_eff_lambda_star", "n_kept", "n_patterns", "n_points", "resolution",
+            "seed"}
         for name in ["fit.json", "posterior_mean.csv", "chain.csv",
                      "intensity_draws.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -873,3 +874,6 @@ def test_extreme_value_runs_or_is_refused(six_patterns, tmp_path, capsys, comman
         code, err = main(argv), capsys.readouterr().err
     assert code in (0, 2, 5)
     assert "Traceback" not in err
+    if (command, key, value) == ("fit", "n_iter", _HUGE_INT):  # the refusal names its key
+        assert code == 2
+        assert "[chain] n_iter" in err

@@ -78,3 +78,11 @@ def test_values_parsed_as_field_types():
 def test_bad_values_raise_config_error(key, value, message):
     with pytest.raises(ConfigError, match=message):
         load_config(overrides={key: value})
+
+
+def test_design_beyond_the_pool_is_refused_at_load():
+    # the pool hands out 2**32 positions at most; no cell list is built to find that out
+    load_config(overrides={"experiment.replicates": str(2**31), "experiment.ns": "2,3"})
+    with pytest.raises(ConfigError, match="the design has 2000000000000 cells"):
+        load_config(overrides={"experiment.replicates": "1000000000000",
+                               "experiment.ns": "2,3"})

@@ -143,17 +143,20 @@ class TestEndToEndTiny:
         # one CPU, so every cell runs in this process, where the patch records it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        grids, real_run_chain = [], sgcp.experiment.run_chain
+        grids, sizes, real_run_chain = [], [], sgcp.experiment.run_chain
 
         def run_chain(patterns, prior, grid, config, rng):
             grids.append(grid)
+            sizes.append(len(patterns))
             return real_run_chain(patterns, prior, grid, config, rng)
 
         monkeypatch.setattr(sgcp.experiment, "run_chain", run_chain)
         cfg = ExperimentConfig(ns=(2, 3), replicates=2, resolution=16,
                                chain=ChainConfig(n_iter=4, n_burn=1))
-        run_contraction_experiment(cfg, SgcpPrior(dim=1))
+        report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         assert grids == [Grid(1, 16)] * 4
+        assert sizes == [3, 3, 2, 2]  # handed out largest n first
+        assert [(c.n, c.replicate) for c in report.cells] == [(2, 0), (2, 1), (3, 0), (3, 1)]
 
     def test_unknown_truth_rejected(self):
         with pytest.raises(ValueError):

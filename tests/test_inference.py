@@ -315,6 +315,43 @@ class TestRunChain:
         assert 0 < sum(accepted[n_burn:]) < cfg.n_iter - n_burn
         assert chain.accept_ell == sum(accepted[n_burn:]) / (cfg.n_iter - n_burn)
 
+    @pytest.mark.parametrize("n_burn", [0, 100])
+    def test_evaluations_per_sweep_counts_the_moves_likelihood_calls(self, monkeypatch,
+                                                                     n_burn):
+        calls = [0]  # every sgcp_suffstats call, refreshes and scratch checks included
+        per_sweep = []  # the calls each sweep made: its moves' evaluations alone
+        real, sweep = sgcp.inference.sgcp_suffstats, _Sampler.sweep
+
+        def count(*args):
+            calls[0] += 1
+            return real(*args)
+
+        def spy(self, rng):
+            before = calls[0]
+            sweep(self, rng)
+            per_sweep.append(calls[0] - before)
+
+        monkeypatch.setattr(sgcp.inference, "sgcp_suffstats", count)
+        monkeypatch.setattr(_Sampler, "sweep", spy)
+        truth = IntensityField(Grid(1, 8), np.full(8, 4.0))
+        rng = rng_for(11, 0)
+        pats = [simulate_thinning(4.0, truth, rng) for _ in range(10)]
+        cfg = ChainConfig(n_iter=400, n_burn=n_burn, thin=3)
+        chain = run_chain(pats, SgcpPrior(dim=1), Grid(1, 8), cfg, rng_for(11, 1))
+        # set_state and the closing scratch check evaluate outside any sweep
+        assert calls[0] == sum(per_sweep) + 2
+        # a slice move evaluates at least once, an ell proposal at most once
+        assert min(per_sweep) >= 1 and max(per_sweep) > 2
+        assert chain.diagnostics["evaluations_per_sweep"] == (
+            sum(per_sweep[n_burn:]) / (cfg.n_iter - n_burn))
+
+    def test_draws_that_cannot_be_allocated_name_the_chain_keys(self):
+        # numpy refuses this size outright, before any memory is asked for
+        cfg = ChainConfig(n_iter=10**30, n_burn=1, thin=1)
+        keys = rf"\[chain\] n_iter = {10**30}, n_burn = 1, thin = 1"
+        with pytest.raises(MemoryError, match=keys):
+            run_chain([], SgcpPrior(dim=1), Grid(1, 8), cfg, rng_for(1))
+
     def test_dense_size_guard(self):
         # 70 x 70 = 4900 nodes: the sampler refuses the grid before filling a covariance
         with pytest.raises(ValueError, match="4900 nodes"):
