@@ -9,7 +9,6 @@ distances, and an experiment harness that measures how fast the posterior
 concentrates around a known truth as replicated patterns accumulate.
 """
 
-from ._accel import BACKEND
 from .config import (ConfigError, ExperimentConfig, HarnessConfig, load_config, rng_for,
                      seed_fingerprint)
 from .experiment import (CellResult, ContractionReport, count_inversions, fit_rate_slope,
@@ -20,9 +19,10 @@ from .inference import (ChainConfig, GewekeResult, ModelState, NumericalError,
 from .kernels import (FactorizationError, chol_with_jitter, cov_matrix,
                       exponential_moment_log_bound)
 from .metrics import contraction, distances_to_truth
-from .point_process import (DataError, Grid, IntensityField, PointPattern, integrate_field,
-                            read_field_csv, read_pattern_csv, simulate_thinning,
-                            simulate_thinning_batch, write_field_csv, write_pattern_csv)
+from .point_process import (BACKEND, DataError, Grid, IntensityField, PointPattern,
+                            integrate_field, read_field_csv, read_pattern_csv,
+                            simulate_thinning, simulate_thinning_batch, write_field_csv,
+                            write_pattern_csv)
 from .priors import (LOGISTIC_SQRT_LIPSCHITZ, LengthScalePriorSpec, LengthScaleTailBounds,
                      MaxIntensityPriorSpec, SgcpPrior, ValidationResult,
                      default_length_scale_bounds, estimate_sqrt_link_lipschitz,

@@ -25,17 +25,17 @@ import sys
 
 import numpy as np
 
-from ._accel import BACKEND
 from .config import ConfigError, HarnessConfig, load_config, rng_for
 from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
 from .inference import NumericalError, geweke_joint_test, run_chain, scaled_mean
 from .kernels import FactorizationError, exponential_moment_log_bound
 from .metrics import contraction
-from .point_process import (DataError, Grid, IntensityField, integrate_field, read_field_csv,
-                            read_pattern_csv, simulate_thinning, write_field_csv, write_json,
-                            write_pattern_csv, write_table)
-from .priors import (LOGISTIC_SQRT_LIPSCHITZ, estimate_sqrt_link_lipschitz,
-                     validate_length_scale_tail, validate_max_intensity_tail)
+from .point_process import (BACKEND, DataError, Grid, IntensityField, integrate_field,
+                            read_field_csv, read_pattern_csv, simulate_thinning,
+                            write_field_csv, write_json, write_pattern_csv, write_table)
+from .priors import (LOGISTIC_SQRT_LIPSCHITZ, MAX_PROBE_DIM, PROBE_WINDOW,
+                     estimate_sqrt_link_lipschitz, validate_length_scale_tail,
+                     validate_max_intensity_tail)
 from .truths import get_truth
 
 EXIT_OK = 0
@@ -244,6 +244,10 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
 
 
 def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
+    if args.dim > MAX_PROBE_DIM:
+        raise ConfigError(f"--dim {args.dim}: the length-scale tail is probed up to "
+                          f"x = {PROBE_WINDOW[1]:g}, and x**dim passes the largest float "
+                          f"above --dim {MAX_PROBE_DIM}")
     prior = cfg.prior(args.dim)
     checks = []
 

@@ -115,8 +115,14 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     if config.synthetic:
         d = SYNTHETIC_CONSTANT * float(n) ** (-SYNTHETIC_EXPONENT)
         return CellResult(n, rep, 0, d, d, 0.0, 0.0, 0.0, seed_data, seed_chain)
+    try:  # before the first draw: a design size too large to hold fails at once
+        patterns = [None] * n
+    except (MemoryError, OverflowError):  # Python's OverflowError: past an index's range
+        raise MemoryError(f"Unable to allocate {8 * n} bytes for the {n} patterns of a cell "
+                          f"of [experiment] ns = {', '.join(map(str, config.ns))}") from None
     data_rng = rng_for(config.seed, i_n, rep, 0)
-    patterns = [simulate_thinning(ceiling, truth, data_rng) for _ in range(n)]
+    for i in range(n):
+        patterns[i] = simulate_thinning(ceiling, truth, data_rng)
     chain_rng = rng_for(config.seed, i_n, rep, 1)
     chain = run_chain(patterns, prior, truth.grid, config.chain, chain_rng)
     distance_mean, radius = contraction(chain.intensity, truth)

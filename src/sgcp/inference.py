@@ -34,12 +34,13 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit as sigmoid
 
-from ._accel import interp_stencil, sgcp_suffstats, sigmoid, trapezoid_weights
 from ._pool import run_cells, usable_cpus
 from .kernels import apply_factor, check_grid, chol_with_jitter, cov_matrix
-from .point_process import (Grid, IntensityField, PointPattern, simulate_thinning,
-                            simulate_thinning_batch)
+from .point_process import (Grid, IntensityField, PointPattern, interp_stencil,
+                            sgcp_suffstats, simulate_thinning, simulate_thinning_batch,
+                            trapezoid_weights)
 from .priors import SgcpPrior, sample_prior_batch
 
 TWO_PI = 2.0 * math.pi
@@ -461,6 +462,13 @@ def run_chain(
 _GEWEKE_STATS = ("lambda_star", "lambda_star_sq", "ell", "mean_intensity", "count", "count_sq")
 
 
+def _geweke_row(lam_star, ell, mean_intensity, count) -> tuple:
+    """The ``_GEWEKE_STATS`` of a round from its ceiling, length scale, mean
+    intensity and point count: one value each for a round, or one column
+    each for arrays of rounds."""
+    return (lam_star, lam_star * lam_star, ell, mean_intensity, count, count * count)
+
+
 @dataclass(frozen=True)
 class GewekeResult:
     """Two-sample z-scores comparing forward and Gibbs-through-data draws."""
@@ -504,14 +512,8 @@ def _forward_stats(prior: SgcpPrior, grid: Grid, rng: np.random.Generator,
         intensity = sigmoid(draw["latent"])
         intensity *= lam_star[:, None]
         _, counts = simulate_thinning_batch(lam_star, intensity, grid, rng)
-        counts = counts.astype(np.float64)
-        rows = out[start:start + m]
-        rows[:, 0] = lam_star
-        rows[:, 1] = lam_star * lam_star
-        rows[:, 2] = draw["ell"]
-        rows[:, 3] = intensity @ weights
-        rows[:, 4] = counts
-        rows[:, 5] = counts * counts
+        out[start:start + m] = np.column_stack(_geweke_row(
+            lam_star, draw["ell"], intensity @ weights, counts.astype(np.float64)))
     return out
 
 
@@ -539,9 +541,8 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
             return rows[:i], True
         field = IntensityField(grid, lam_star * sigmoid(sampler.latent))
         pattern = simulate_thinning(lam_star, field, rng)
-        count = float(pattern.n)
-        rows[i] = (lam_star, lam_star * lam_star, math.exp(sampler.state.log_ell),
-                   lam_star * sampler.integral_of_link, count, count * count)
+        rows[i] = _geweke_row(lam_star, math.exp(sampler.state.log_ell),
+                              lam_star * sampler.integral_of_link, float(pattern.n))
         sampler.set_data([pattern])
         for _ in range(sweeps_per_round):
             sampler.sweep(rng)

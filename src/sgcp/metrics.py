@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import trapezoid_weights
-from .point_process import IntensityField
+from .point_process import IntensityField, trapezoid_weights
 
 # posterior mass of the credible ball whose radius a contraction run reports
 CREDIBLE_LEVEL = 0.9

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sci_special
+from scipy.special import expit as sigmoid
 
-from ._accel import sigmoid
 from .kernels import check_grid, gp_field
 from .point_process import Grid, IntensityField
 
@@ -36,6 +36,11 @@ _PROBE_XS = np.exp(np.linspace(math.log(PROBE_WINDOW[0]), math.log(PROBE_WINDOW[
                                PROBE_POINTS))
 _PROBE_XS[[0, -1]] = PROBE_WINDOW
 _PROBE_XS.setflags(write=False)
+# the largest dimension d at which the window's top x**d is a float; no grid
+# under kernels.MAX_GRID_NODES has that many axes
+MAX_PROBE_DIM = int(math.log(sys.float_info.max) / math.log(PROBE_WINDOW[1]))
+# the leading constant of the ceiling's exponential tail envelope
+CEILING_TAIL_C0 = 10.0
 
 # the length-scale prior may put at most this much of the mass of ell^d above
 # the largest float, where the sampler rejects every proposal
@@ -187,12 +192,11 @@ def default_length_scale_bounds(spec: LengthScalePriorSpec) -> LengthScaleTailBo
     )
 
 
-def validate_length_scale_tail(
-    spec: LengthScalePriorSpec, bounds: LengthScaleTailBounds | None = None
-) -> ValidationResult:
-    """Check the sandwich inequalities pointwise on the log-spaced probe window."""
-    if bounds is None:
-        bounds = default_length_scale_bounds(spec)
+def validate_length_scale_tail(spec: LengthScalePriorSpec) -> ValidationResult:
+    """Check the sandwich of ``default_length_scale_bounds`` pointwise on the
+    log-spaced probe window. The window's top ``x**dim`` is a float only up
+    to dimension ``MAX_PROBE_DIM``."""
+    bounds = default_length_scale_bounds(spec)
     xs = _PROBE_XS
     log_density = np.array([spec.log_density(x) for x in xs.tolist()])
     shape_term = bounds.power * np.log(xs)
@@ -210,17 +214,14 @@ def validate_length_scale_tail(
     return ValidationResult(True, None, "sandwich holds on the probe window")
 
 
-def validate_max_intensity_tail(
-    spec: MaxIntensityPriorSpec, c0: float = 10.0
-) -> ValidationResult:
-    """Check ``P(lam* > x) <= c0 * exp(-rate * x / 2)`` on the probe window:
-    half the gamma rate absorbs the polynomial factor in the gamma tail.
+def validate_max_intensity_tail(spec: MaxIntensityPriorSpec) -> ValidationResult:
+    """Check ``P(lam* > x) <= CEILING_TAIL_C0 * exp(-rate * x / 2)`` on the
+    probe window: half the gamma rate absorbs the polynomial factor in the
+    gamma tail.
     """
-    if c0 <= 0.0:
-        raise ValueError("tail constant c0 must be positive")
     xs = _PROBE_XS
     surv = spec.survival(xs)
-    bound = c0 * np.exp(-0.5 * spec.rate * xs)
+    bound = CEILING_TAIL_C0 * np.exp(-0.5 * spec.rate * xs)
     bad = surv > bound * (1.0 + 1e-12)
     if np.any(bad):
         x = float(xs[np.argmax(bad)])

@@ -31,6 +31,7 @@ from sgcp import (ChainConfig, ExperimentConfig, Grid, IntensityField,
                   estimate_sqrt_link_lipschitz, geweke_joint_test, get_truth,
                   rng_for, run_chain, run_contraction_experiment, simulate_thinning,
                   validate_length_scale_tail, validate_max_intensity_tail)
+from sgcp import priors
 from sgcp.cli import main
 from sgcp.inference import _Sampler
 from sgcp.kernels import chol_with_jitter, cov_matrix, gp_field, spectral_covariance_quadrature
@@ -244,7 +245,7 @@ def test_06_prior_mass_probe(report):
     report(6, "prior-mass-probe", ok, "; ".join(parts) + ", budget 2min", t0)
 
 
-def test_07_tail_validators(report):
+def test_07_tail_validators(report, monkeypatch):
     """Defaults satisfy the envelopes; broken constants fail with a witness."""
     t0 = time.perf_counter()
     good = all(validate_length_scale_tail(LengthScalePriorSpec(dim=d)).passed
@@ -254,8 +255,10 @@ def test_07_tail_validators(report):
     spec = LengthScalePriorSpec(dim=1)
     broken = dataclasses.replace(default_length_scale_bounds(spec),
                                  decay_lower=2.5 * spec.rate)
-    r1 = validate_length_scale_tail(spec, bounds=broken)
-    r2 = validate_max_intensity_tail(MaxIntensityPriorSpec(), c0=1e-6)
+    monkeypatch.setattr(priors, "default_length_scale_bounds", lambda _: broken)
+    monkeypatch.setattr(priors, "CEILING_TAIL_C0", 1e-6)
+    r1 = validate_length_scale_tail(spec)
+    r2 = validate_max_intensity_tail(MaxIntensityPriorSpec())
     caught = (not r1.passed and r1.witness is not None and 5.0 <= r1.witness <= 100.0
               and not r2.passed and r2.witness is not None
               and 5.0 <= r2.witness <= 100.0)

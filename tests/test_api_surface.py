@@ -43,8 +43,6 @@ SETTABLE = [
     "priors.MaxIntensityPriorSpec.shape",
     "priors.SgcpPrior.ell_prior",
     "priors.SgcpPrior.lam_prior",
-    "priors.validate_length_scale_tail(bounds)",
-    "priors.validate_max_intensity_tail(c0)",
 ]
 
 # definitions no command reaches, kept as what the tests compare against

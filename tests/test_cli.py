@@ -721,6 +721,12 @@ class TestVerifyPriors:
         assert main(["verify-priors", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
 
+    @pytest.mark.parametrize("dim, code", [(154, 0), (155, 2), (10**6, 2)])
+    def test_dim_past_the_probe_window_is_refused(self, dim, code, capsys):
+        # the length-scale envelope is probed up to x = 100, and 100**155 is no float
+        assert main(["verify-priors", "--dim", str(dim)]) == code
+        assert ("--dim" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_moment_check_passes_at_large_tilt(self, dim, capsys):
         # the Gaussian spectral measure has every exponential moment
@@ -848,6 +854,7 @@ _GATE_COMMANDS = {
     "verify-priors": ["verify-priors"],
     "fit": ["fit"],
     "calibrate": ["calibrate", "--rounds", "64", "--resolution", "8", "--sweeps", "1"],
+    "bench": ["bench"],
 }
 
 
@@ -858,8 +865,8 @@ _GATE_COMMANDS = {
 def test_extreme_value_runs_or_is_refused(six_patterns, tmp_path, capsys, command, section,
                                           key, value):
     # a tiny design, 200 sweeps from the first, with one key at an extreme
-    ini = {"experiment": {"resolution": "8"}, "chain": {"n_iter": "200", "n_burn": "0"},
-           "prior": {}}
+    ini = {"experiment": {"ns": "2, 3", "replicates": "1", "resolution": "8"},
+           "chain": {"n_iter": "200", "n_burn": "0"}, "prior": {}}
     ini[section][key] = value
     cfg = tmp_path / "h.ini"
     cfg.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -867,13 +874,15 @@ def test_extreme_value_runs_or_is_refused(six_patterns, tmp_path, capsys, comman
     argv = _GATE_COMMANDS[command] + ["--config", str(cfg), "--out", str(tmp_path / "x")]
     if command == "fit":
         argv += ["--data", str(six_patterns)]
-    if (key, value) == ("n_iter", _HUGE_INT):  # sizes an allocation
+    huge_size = (key, value) == ("n_iter", _HUGE_INT) or (
+        (command, key, value) == ("bench", "ns", f"1, {_HUGE_INT}"))
+    if huge_size:  # sizes an allocation
         r = _run_limited(argv)
         code, err = r.returncode, r.stderr
     else:
         code, err = main(argv), capsys.readouterr().err
     assert code in (0, 2, 5)
     assert "Traceback" not in err
-    if (command, key, value) == ("fit", "n_iter", _HUGE_INT):  # the refusal names its key
+    if huge_size and command in ("fit", "bench"):  # the refusal names its key
         assert code == 2
-        assert "[chain] n_iter" in err
+        assert f"[{section}] {key}" in err

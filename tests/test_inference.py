@@ -12,10 +12,9 @@ from sgcp import (ChainConfig, Grid, IntensityField, LengthScalePriorSpec,
                   effective_sample_size, geweke_joint_test, initial_state, integrate_field,
                   rng_for, run_chain, sample_prior_batch, simulate_thinning)
 import sgcp.inference
-from sgcp._accel import sigmoid
 from sgcp.inference import _GEWEKE_STATS, _Sampler, _forward_stats, cov_matrix
 from sgcp.kernels import apply_factor
-from sgcp.point_process import log_likelihood
+from sgcp.point_process import log_likelihood, sigmoid
 
 
 class TestChainConfig:

@@ -13,8 +13,9 @@ from sgcp import (LOGISTIC_SQRT_LIPSCHITZ, Grid, LengthScalePriorSpec,
                   default_length_scale_bounds, estimate_sqrt_link_lipschitz,
                   get_truth, rng_for, sample_prior_batch, validate_length_scale_tail,
                   validate_max_intensity_tail)
-from sgcp._accel import sigmoid
+from sgcp import priors
 from sgcp.kernels import gp_field
+from sgcp.point_process import sigmoid
 from sgcp.priors import prior_small_ball_probability
 
 # (shape, rate) pairs at which the gamma medians are compared with scipy.stats
@@ -23,11 +24,6 @@ GAMMA_PAIRS = ((1.0, 1.0), (2.0, 1.0), (2.0, 3.0), (3.7, 0.4), (0.5, 2.5), (1.3,
 
 
 class TestLinks:
-    def test_logistic_values(self):
-        x = np.array([-3.0, 0.0, 2.5])
-        np.testing.assert_allclose(sigmoid(x), special.expit(x), rtol=1e-14)
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-
     def test_logistic_lipschitz_matches_analytic_maximum(self):
         # d/dx sqrt(sigma) = sqrt(sigma)(1-sigma)/2 peaks at sigma = 1/3
         est = estimate_sqrt_link_lipschitz()
@@ -130,7 +126,7 @@ class TestTailValidators:
             res = validate_length_scale_tail(LengthScalePriorSpec(dim=dim))
             assert res.passed, res.detail
 
-    def test_length_scale_broken_upper_fails_with_witness(self):
+    def test_length_scale_broken_upper_fails_with_witness(self, monkeypatch):
         spec = LengthScalePriorSpec(dim=1)
         good = default_length_scale_bounds(spec)
         # swap: claimed decay faster than the true density's -> upper bound breaks
@@ -138,18 +134,20 @@ class TestTailValidators:
             power=good.power, decay_lower=2.5 * spec.rate,
             decay_upper=good.decay_upper, log_c_lower=good.log_c_lower,
             log_c_upper=good.log_c_upper)
-        res = validate_length_scale_tail(spec, broken)
+        monkeypatch.setattr(priors, "default_length_scale_bounds", lambda _: broken)
+        res = validate_length_scale_tail(spec)
         assert not res.passed
         assert res.witness is not None and 5.0 <= res.witness <= 100.0
 
-    def test_length_scale_broken_lower_fails_with_witness(self):
+    def test_length_scale_broken_lower_fails_with_witness(self, monkeypatch):
         spec = LengthScalePriorSpec(dim=1)
         good = default_length_scale_bounds(spec)
         broken = LengthScaleTailBounds(
             power=good.power, decay_lower=good.decay_lower,
             decay_upper=0.25 * spec.rate,  # claims the density stays too large
             log_c_lower=good.log_c_lower, log_c_upper=good.log_c_upper)
-        res = validate_length_scale_tail(spec, broken)
+        monkeypatch.setattr(priors, "default_length_scale_bounds", lambda _: broken)
+        res = validate_length_scale_tail(spec)
         assert not res.passed
         assert res.witness is not None
 
@@ -159,15 +157,16 @@ class TestTailValidators:
         spec = LengthScalePriorSpec(dim=1, shape=shape)
         bounds = default_length_scale_bounds(spec)
         assert math.isfinite(bounds.log_c_lower) and math.isfinite(bounds.log_c_upper)
-        res = validate_length_scale_tail(spec, bounds)
+        res = validate_length_scale_tail(spec)
         assert res.passed, res.detail
 
     def test_ceiling_defaults_pass(self):
         res = validate_max_intensity_tail(MaxIntensityPriorSpec())
         assert res.passed, res.detail
 
-    def test_ceiling_broken_constants_fail_with_witness(self):
-        res = validate_max_intensity_tail(MaxIntensityPriorSpec(), c0=1e-6)
+    def test_ceiling_broken_constants_fail_with_witness(self, monkeypatch):
+        monkeypatch.setattr(priors, "CEILING_TAIL_C0", 1e-6)
+        res = validate_max_intensity_tail(MaxIntensityPriorSpec())
         assert not res.passed
         assert res.witness is not None and 5.0 <= res.witness <= 100.0
 
