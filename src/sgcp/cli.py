@@ -25,10 +25,11 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, HarnessConfig, load_config, rng_for
+from .config import ConfigError, HarnessConfig, load_config, naming, rng_for
 from .experiment import run_contraction_experiment, write_cells_csv, write_medians_csv
-from .inference import NumericalError, geweke_joint_test, run_chain, scaled_mean
-from .kernels import FactorizationError, exponential_moment_log_bound
+from .inference import (NumericalError, check_joint_test_prior, geweke_joint_test, run_chain,
+                        scaled_mean)
+from .kernels import FactorizationError, check_grid, exponential_moment_log_bound
 from .metrics import contraction
 from .point_process import (BACKEND, DataError, Grid, IntensityField, integrate_field,
                             read_field_csv, read_pattern_csv, simulate_thinning,
@@ -63,7 +64,8 @@ def cmd_simulate(args, cfg: HarnessConfig) -> int:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
     exp = cfg.experiment
     truth = get_truth(exp.truth)
-    field = truth.field(exp.resolution)
+    with naming("experiment", resolution=exp.resolution):
+        field = truth.field(exp.resolution)
     ceiling = float(np.max(field.values))
     out = _ensure_out(args)
     rng = rng_for(exp.seed)
@@ -109,6 +111,8 @@ def cmd_fit(args, cfg: HarnessConfig) -> int:
         raise DataError(f"{truth_path} is {truth.dim}-D but the patterns are {dim}-D")
     exp = cfg.experiment
     seed, grid, run = exp.seed, Grid(dim, exp.resolution), exp.chain
+    with naming("experiment", resolution=exp.resolution):
+        check_grid(grid)
     chain = run_chain(patterns, cfg.prior(dim), grid, run, rng_for(seed, 1))
     out = _ensure_out(args)
     file_meta = {"config": cfg.fingerprint(), "seed": str(seed)}
@@ -210,7 +214,7 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
     if not args.z_threshold > 0.0:
         raise ConfigError(f"--z-threshold must be positive, got {args.z_threshold}")
     grid = Grid(args.dim, args.grid_resolution)
-    prior = cfg.prior(args.dim)
+    prior = cfg.prior(args.dim, check_joint_test_prior)
     result = geweke_joint_test(
         prior, grid, rng_for(cfg.experiment.seed, 7),
         n_rounds=args.rounds,
@@ -286,11 +290,31 @@ def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
 # -- argument plumbing ----------------------------------------------------
 
 
-def _add_common(sub, out_required: bool = True):
+# each flag that overrides an INI key: flag name -> (section.key, type, help)
+_OVERRIDES = {
+    "seed": ("experiment.seed", int, "master seed override"),
+    "truth": ("experiment.truth", str, "truth name override"),
+    "ns": ("experiment.ns", str, "comma-separated design sizes override"),
+    "replicates": ("experiment.replicates", int, "replicates override"),
+    "n_iter": ("chain.n_iter", int, "chain length override"),
+    "n_burn": ("chain.n_burn", int, "burn-in override"),
+    "resolution": ("experiment.resolution", int, "grid resolution override"),
+}
+
+
+def _add_common(sub, *overrides, out_required: bool = True):
+    """``--config``, ``--seed`` and the ``overrides`` named from ``_OVERRIDES``, then ``--out``."""
     sub.add_argument("--config", default=None, help="INI configuration file")
-    sub.add_argument("--seed", type=int, default=None, help="master seed override")
-    if out_required:
-        sub.add_argument("--out", required=True, help="output directory")
+    for name in ("seed", *overrides):
+        _, type_, help_ = _OVERRIDES[name]
+        sub.add_argument("--" + name.replace("_", "-"), type=type_, default=None, help=help_)
+    sub.add_argument("--out", required=out_required,
+                     help="output directory" if out_required else "optional output directory")
+
+
+def _collect_overrides(args) -> dict:
+    return {key: str(getattr(args, name)) for name, (key, _, _) in _OVERRIDES.items()
+            if getattr(args, name, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,28 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("simulate", help="simulate patterns from a cataloged truth")
-    _add_common(p)
-    p.add_argument("--truth", default=None, help="truth name override")
+    _add_common(p, "truth", "resolution")
     p.add_argument("--n", type=int, default=50, help="number of patterns")
-    p.add_argument("--resolution", type=int, default=None, help="grid resolution override")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("fit", help="run the posterior sampler on pattern files")
-    _add_common(p)
+    _add_common(p, "n_iter", "n_burn", "resolution")
     p.add_argument("--data", required=True, help="directory with pattern_*.csv")
-    p.add_argument("--n-iter", type=int, default=None, help="chain length override")
-    p.add_argument("--n-burn", type=int, default=None, help="burn-in override")
-    p.add_argument("--resolution", type=int, default=None, help="grid resolution override")
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("bench", help="contraction experiment and rate-slope fit")
-    _add_common(p)
-    p.add_argument("--truth", default=None, help="truth name override")
-    p.add_argument("--ns", default=None, help="comma-separated design sizes override")
-    p.add_argument("--replicates", type=int, default=None, help="replicates override")
-    p.add_argument("--n-iter", type=int, default=None, help="chain length override")
-    p.add_argument("--n-burn", type=int, default=None, help="burn-in override")
-    p.add_argument("--resolution", type=int, default=None, help="grid resolution override")
+    _add_common(p, "truth", "ns", "replicates", "n_iter", "n_burn", "resolution")
     p.add_argument("--synthetic", action="store_true",
                    help="inject exact power-law distances instead of sampling")
     p.add_argument("--baseline", default=None, help="report.json to compare the slope against")
@@ -332,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("calibrate", help="joint sampler calibration check")
     _add_common(p, out_required=False)
-    p.add_argument("--out", default=None, help="optional output directory")
     p.add_argument("--dim", type=int, default=1, help="domain dimension")
     p.add_argument("--resolution", type=int, default=16, dest="grid_resolution",
                    help="the test's own grid resolution, not [experiment] resolution")
@@ -346,32 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-priors", help="analytic envelope and moment checks")
     _add_common(p, out_required=False)
-    p.add_argument("--out", default=None, help="optional output directory")
     p.add_argument("--dim", type=int, default=1, help="domain dimension")
     p.add_argument("--delta", type=float, default=1.0, help="exponential-moment tilt")
     p.set_defaults(func=cmd_verify_priors)
 
     return parser
-
-
-_OVERRIDE_MAP = {
-    "seed": "experiment.seed",
-    "truth": "experiment.truth",
-    "ns": "experiment.ns",
-    "replicates": "experiment.replicates",
-    "resolution": "experiment.resolution",
-    "n_iter": "chain.n_iter",
-    "n_burn": "chain.n_burn",
-}
-
-
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    for attr, dotted in _OVERRIDE_MAP.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[dotted] = str(value)
-    return overrides
 
 
 def main(argv=None) -> int:
@@ -380,16 +371,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         return args.func(args, cfg)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, FactorizationError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, MemoryError) as e:  # a MemoryError: the run asked for more than fits
+    # a ConfigError or any other ValueError; a MemoryError: the run asked for more than fits
+    except (ValueError, MemoryError) as e:
         print(f"configuration error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -98,6 +99,17 @@ def _from_section(cls, section: str, values: dict, **given):
     return cls(**given)
 
 
+@contextmanager
+def naming(section: str, **values):
+    """Re-raise a ``ValueError`` or ``MemoryError`` of the block as a
+    ``ConfigError`` that ends by naming the INI keys set to ``values``."""
+    try:
+        yield
+    except (ValueError, MemoryError) as e:
+        keys = ", ".join(f"[{section}] {key} = {_canonical(v)}" for key, v in values.items())
+        raise ConfigError(f"{str(e) or type(e).__name__} (set by {keys})") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Design of one contraction run. Each cell's ``chain`` runs on the
@@ -114,20 +126,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if len(self.ns) < 2 or any(n < 1 for n in self.ns):
-            raise ValueError("need at least two positive design sizes")
+            raise ValueError("[experiment] ns needs at least two positive design sizes")
         if list(self.ns) != sorted(set(self.ns)):
-            raise ValueError("design sizes must be strictly increasing")
+            raise ValueError("[experiment] ns: design sizes must be strictly increasing")
         if self.replicates < 1:
-            raise ValueError("replicates must be positive")
+            raise ValueError("[experiment] replicates must be positive")
         if len(self.ns) * self.replicates > MAX_CELLS:
-            raise ValueError(f"the design has {len(self.ns) * self.replicates} cells "
-                             f"(design sizes x replicates); at most {MAX_CELLS} can run")
+            raise ValueError(f"the design has {len(self.ns) * self.replicates} cells ([experiment] "
+                             f"ns x [experiment] replicates); at most {MAX_CELLS} can run")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError("[experiment] seed must be non-negative")
         if not 0.0 < self.radius_constant < math.inf:
-            raise ValueError("radius constant must be a positive finite number")
+            raise ValueError("[experiment] radius_constant must be a positive finite number")
         if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+            raise ValueError("[experiment] resolution must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -144,15 +156,20 @@ class HarnessConfig:
     lam_shape: float
     lam_rate: float
 
-    def prior(self, dim: int) -> SgcpPrior:
-        try:
-            return SgcpPrior(
-                dim=dim,
-                ell_prior=LengthScalePriorSpec(dim=dim, shape=self.ell_shape, rate=self.ell_rate),
-                lam_prior=MaxIntensityPriorSpec(shape=self.lam_shape, rate=self.lam_rate),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    def prior(self, dim: int, *checks) -> SgcpPrior:
+        """The prior on ``dim`` axes. A refusal of a spec, by the spec or by one
+        of ``checks`` (each called on both), names the spec's ``[prior]`` keys."""
+        if dim < 1:
+            raise ConfigError("dim must be positive")
+        with naming("prior", ell_shape=self.ell_shape, ell_rate=self.ell_rate):
+            ell = LengthScalePriorSpec(dim=dim, shape=self.ell_shape, rate=self.ell_rate)
+            for check in checks:
+                check(ell)
+        with naming("prior", lam_shape=self.lam_shape, lam_rate=self.lam_rate):
+            lam = MaxIntensityPriorSpec(shape=self.lam_shape, rate=self.lam_rate)
+            for check in checks:
+                check(lam)
+        return SgcpPrior(dim=dim, ell_prior=ell, lam_prior=lam)
 
     def fingerprint(self) -> str:
         """Stable 12-hex digest of the parsed values of every INI key.

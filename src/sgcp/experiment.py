@@ -35,7 +35,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from ._pool import run_cells, usable_cpus
-from .config import ExperimentConfig, rng_for, seed_fingerprint
+from .config import ExperimentConfig, naming, rng_for, seed_fingerprint
 from .inference import run_chain
 from .kernels import check_grid
 from .metrics import contraction
@@ -151,9 +151,10 @@ def run_contraction_experiment(
     cell is done.
     """
     truth_spec = get_truth(config.truth)
-    if not config.synthetic:
-        check_grid(Grid(truth_spec.dim, config.resolution))  # before any pattern or fork
-    truth = truth_spec.field(config.resolution)
+    with naming("experiment", resolution=config.resolution):
+        if not config.synthetic:
+            check_grid(Grid(truth_spec.dim, config.resolution))  # before any pattern or fork
+        truth = truth_spec.field(config.resolution)
     if prior.dim != truth_spec.dim:
         raise ValueError("prior dimension does not match the truth")
     ceiling = float(np.max(truth.values))

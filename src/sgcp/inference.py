@@ -41,7 +41,7 @@ from .kernels import apply_factor, check_grid, chol_with_jitter, cov_matrix
 from .point_process import (Grid, IntensityField, PointPattern, interp_stencil,
                             sgcp_suffstats, simulate_thinning, simulate_thinning_batch,
                             trapezoid_weights)
-from .priors import SgcpPrior, sample_prior_batch
+from .priors import MaxIntensityPriorSpec, SgcpPrior, sample_prior_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,9 +101,10 @@ class ChainConfig:
 
     def __post_init__(self):
         if self.n_iter <= 0 or not (0 <= self.n_burn < self.n_iter):
-            raise ValueError("need 0 <= n_burn < n_iter")
+            raise ValueError(f"need 0 <= n_burn < n_iter, got [chain] n_burn = {self.n_burn} "
+                             f"and [chain] n_iter = {self.n_iter}")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ValueError("[chain] thin must be >= 1")
 
 
 @dataclass
@@ -549,6 +550,27 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
     return rows, False
 
 
+def check_joint_test_prior(spec) -> None:
+    """Refuse a gamma prior the joint test cannot run on: a ceiling prior with
+    more than ``MAX_MASS_ABOVE_CAP`` of its mass above ``LAMBDA_CAP``, or
+    either prior with more than that below the smallest positive float."""
+    a, b = spec.shape, spec.rate
+    # P(Gamma(a, b) < x) = (b x)^a / Gamma(a + 1) to a relative 1e-15 at
+    # b x < 1e-15, as at x = ulp(0); in logs, as b x itself can underflow
+    below = math.exp(min(a * (math.log(b) + math.log(math.ulp(0.0))) - math.lgamma(a + 1.0),
+                         0.0))
+    masses = [(below, "below the smallest positive float, where a draw underflows to 0")]
+    name = "length-scale prior on ell^d"
+    if isinstance(spec, MaxIntensityPriorSpec):
+        name = "ceiling prior"
+        masses.insert(0, (float(spec.survival(LAMBDA_CAP)), f"above LAMBDA_CAP = "
+                          f"{LAMBDA_CAP:g}, where the joint test reports divergence"))
+    for mass, where in masses:
+        if not mass <= MAX_MASS_ABOVE_CAP:
+            raise ValueError(f"the {name} Gamma(shape {a!r}, rate {b!r}) puts mass {mass:.3g} "
+                             f"{where}; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
+
+
 def geweke_joint_test(
     prior: SgcpPrior,
     grid: Grid,
@@ -568,10 +590,8 @@ def geweke_joint_test(
     batch-means standard errors, so at least ``MIN_ROUNDS`` rounds are
     required. A ceiling excursion above ``LAMBDA_CAP`` reports divergence
     outright — under a correct kernel the prior puts vanishing mass there,
-    while broken kernels drift through it quickly. A ceiling prior with more
-    than ``MAX_MASS_ABOVE_CAP`` of its mass above the cap is refused with a
-    ``ValueError`` before any draw, and so is a length-scale or ceiling prior
-    with more than that mass below the smallest positive float.
+    while broken kernels drift through it quickly. A prior that
+    ``check_joint_test_prior`` refuses is refused before any draw.
 
     The chained side is ``CHAINED_SEGMENTS`` independent chains: segment
     ``k`` runs rounds ``n_rounds * k // CHAINED_SEGMENTS`` up to the next
@@ -591,23 +611,8 @@ def geweke_joint_test(
     if grid.dim != prior.dim:
         raise ValueError("grid dimension does not match the prior")
     check_grid(grid)  # before any draw or fork
-    lam = prior.lam_prior
-    above_cap = float(lam.survival(LAMBDA_CAP))
-    if not above_cap <= MAX_MASS_ABOVE_CAP:
-        raise ValueError(
-            f"the ceiling prior Gamma(shape {lam.shape!r}, rate {lam.rate!r}) puts mass "
-            f"{above_cap:.3g} above LAMBDA_CAP = {LAMBDA_CAP:g}, where the joint test reports "
-            f"divergence; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
-    for name, spec in (("length-scale prior on ell^d", prior.ell_prior), ("ceiling prior", lam)):
-        # P(Gamma(a, b) < x) = (b x)^a / Gamma(a + 1) to a relative 1e-15 at
-        # b x < 1e-15, as at x = ulp(0); in logs, as b x itself can underflow
-        a, b, x = spec.shape, spec.rate, math.ulp(0.0)
-        below = math.exp(min(a * (math.log(b) + math.log(x)) - math.lgamma(a + 1.0), 0.0))
-        if not below <= MAX_MASS_ABOVE_CAP:
-            raise ValueError(
-                f"the {name} Gamma(shape {a!r}, rate {b!r}) puts mass "
-                f"{below:.3g} below the smallest positive float, where a draw underflows "
-                f"to 0; at most {MAX_MASS_ABOVE_CAP:g} is allowed")
+    for spec in (prior.ell_prior, prior.lam_prior):
+        check_joint_test_prior(spec)
 
     forward = _forward_stats(prior, grid, rng, n_rounds)
 

@@ -121,16 +121,8 @@ def trapezoid_weights(dim: int, resolution: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """A realized point pattern: finitely many points in [0,1]^d.
-
-    Parameters
-    ----------
-    dim : int
-        Dimension of the domain.
-    points : np.ndarray
-        Array of shape (n, dim); every coordinate must be finite and lie in
-        [0, 1].
-    """
+    """A realized point pattern: finitely many points in [0,1]^d, as
+    ``points`` of shape ``(n, dim)`` whose coordinates are finite."""
 
     dim: int
     points: np.ndarray
@@ -234,18 +226,10 @@ def simulate_thinning(
     """Draw an exact Poisson-process realization by Lewis–Shedler thinning.
 
     A homogeneous candidate process of rate ``lambda_star`` on [0,1]^d is
-    thinned: each candidate survives with probability ``field(s)/lambda_star``.
-    Exactness requires ``lambda_star >= max(field)``. A batch of one of
-    ``simulate_thinning_batch``.
-
-    Parameters
-    ----------
-    lambda_star : float
-        Dominating intensity for the candidate process.
-    field : IntensityField
-        Target intensity (interpolated off-grid).
-    rng : np.random.Generator
-        Seeded random source; the draw is deterministic given its state.
+    thinned: each candidate survives with probability ``field(s)/lambda_star``,
+    the field interpolated off-grid. Exactness requires ``lambda_star >=
+    max(field)``. A batch of one of ``simulate_thinning_batch``, so the draw is
+    deterministic given the state of ``rng``.
     """
     points, _ = simulate_thinning_batch(
         np.array([lambda_star], dtype=np.float64), field.values[None, :], field.grid, rng)
@@ -315,19 +299,14 @@ def sgcp_suffstats(
 # ---------------------------------------------------------------------------
 # Output files and the CSV wire formats
 #
-# Every CSV table the commands write goes through write_table and every JSON
-# file through write_json, in UTF-8 with "\n" line endings and floats as
-# FLOAT_FMT.
+# Every CSV table the commands write goes through write_table, and is read
+# back through read_table, and every JSON file goes through write_json, in
+# UTF-8 with "\n" line endings and floats as FLOAT_FMT.
 #
 # PointPattern: optional leading '#' metadata comments, then the header line
 # "<dim>,resolution-free", then one row per point with dim coordinate columns.
 # IntensityField: same comment convention, header "<dim>,<resolution>", then
 # the grid values one per line in row-major (C) order.
-
-
-def _write_meta(fh, meta: dict) -> None:
-    for key in sorted(meta):
-        fh.write(f"# {key}={meta[key]}\n")
 
 
 def write_table(path, meta: dict, header, rows) -> None:
@@ -336,7 +315,7 @@ def write_table(path, meta: dict, header, rows) -> None:
     endings. Floats are written as ``FLOAT_FMT``, everything else as ``str``;
     the row format is built once, from the types of the first row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_meta(fh, meta)
+        fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
         fh.write(",".join(map(str, header)) + "\n")
         row_fmt = None
         for row in rows:
@@ -353,20 +332,24 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _data_lines(path: Path):
-    """Yield ``(lineno, line)`` for the stripped, non-blank, non-comment lines of a file."""
+def read_table(path):
+    """The one CSV table reader, the inverse of ``write_table``: the file is
+    read in one call, and each line that is not blank and not a ``#`` comment
+    is kept stripped, as ``(lineno, line)``. Returns the first such line, the
+    header, and the list of the rest, the rows."""
+    path = Path(path)
     try:
-        fh = path.open(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # read_text turns \r\n and \r into \n, as iterating the file did
+    lines = [(lineno, line) for lineno, line in enumerate(map(str.strip, text.split("\n")), 1)
+             if line and not line.startswith("#")]
+    if not lines:
+        raise DataError(f"{path}: empty file, missing header")
+    return lines[0], lines[1:]
 
 
 def write_pattern_csv(pattern: PointPattern, path, meta: dict) -> None:
@@ -375,36 +358,29 @@ def write_pattern_csv(pattern: PointPattern, path, meta: dict) -> None:
 
 def read_pattern_csv(path) -> PointPattern:
     path = Path(path)
-    header = None
-    rows = []
-    for lineno, line in _data_lines(path):
-        if header is None:
-            parts = line.split(",")
-            if len(parts) != 2 or parts[1] != PATTERN_HEADER_TAG:
-                raise DataError(
-                    f"{path}:{lineno}: expected header '<dim>,{PATTERN_HEADER_TAG}', got {line!r}"
-                )
-            try:
-                header = int(parts[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: dim is not an integer: {parts[0]!r}")
-            if header < 1:
-                raise DataError(f"{path}:{lineno}: dim must be at least 1, got {header}")
-            continue
+    (lineno, line), rows = read_table(path)
+    parts = line.split(",")
+    if len(parts) != 2 or parts[1] != PATTERN_HEADER_TAG:
+        raise DataError(
+            f"{path}:{lineno}: expected header '<dim>,{PATTERN_HEADER_TAG}', got {line!r}"
+        )
+    try:
+        dim = int(parts[0])
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: dim is not an integer: {parts[0]!r}")
+    if dim < 1:
+        raise DataError(f"{path}:{lineno}: dim must be at least 1, got {dim}")
+    points = []
+    for lineno, line in rows:
         parts = line.split(",")
-        if len(parts) != header:
-            raise DataError(
-                f"{path}:{lineno}: expected {header} coordinates, got {len(parts)}"
-            )
+        if len(parts) != dim:
+            raise DataError(f"{path}:{lineno}: expected {dim} coordinates, got {len(parts)}")
         try:
-            rows.append([float(v) for v in parts])
+            points.append([float(v) for v in parts])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric coordinate in {line!r}")
-    if header is None:
-        raise DataError(f"{path}: empty file, missing header")
-    pts = np.asarray(rows, dtype=np.float64).reshape(len(rows), header)
     try:
-        return PointPattern(header, pts)
+        return PointPattern(dim, points)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}")
 
@@ -415,24 +391,20 @@ def write_field_csv(field: IntensityField, path, meta: dict) -> None:
 
 def read_field_csv(path) -> IntensityField:
     path = Path(path)
-    header = None
+    (lineno, line), rows = read_table(path)
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise DataError(f"{path}:{lineno}: expected header '<dim>,<resolution>'")
+    try:
+        header = (int(parts[0]), int(parts[1]))
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-integer header fields: {line!r}")
     values = []
-    for lineno, line in _data_lines(path):
-        if header is None:
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected header '<dim>,<resolution>'")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer header fields: {line!r}")
-            continue
+    for lineno, line in rows:
         try:
             values.append(float(line))
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric grid value {line!r}")
-    if header is None:
-        raise DataError(f"{path}: empty file, missing header")
     try:
         return IntensityField(Grid(*header), np.asarray(values))
     except ValueError as exc:

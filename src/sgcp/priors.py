@@ -102,10 +102,14 @@ class LengthScalePriorSpec:
     def log_density_at_log(self, log_ell: float) -> float:
         """Log density of ell (not of ``log ell``) at ``exp(log_ell)``, evaluated
         from ``log ell`` itself, so a length scale too small for a float keeps a
-        finite density."""
+        finite density, and one whose ``ell**d`` is too large has density 0."""
         d, a, b = self.dim, self.shape, self.rate
+        try:
+            decay = b * math.exp(log_ell)**d
+        except OverflowError:  # ell**d is no float
+            return -math.inf
         return (math.log(d) + a * math.log(b) - math.lgamma(a)
-                + (d * a - 1.0) * log_ell - b * math.exp(log_ell)**d)
+                + (d * a - 1.0) * log_ell - decay)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws of ell: d-th roots of gamma draws. Each root is a float
@@ -194,13 +198,14 @@ def default_length_scale_bounds(spec: LengthScalePriorSpec) -> LengthScaleTailBo
 
 def validate_length_scale_tail(spec: LengthScalePriorSpec) -> ValidationResult:
     """Check the sandwich of ``default_length_scale_bounds`` pointwise on the
-    log-spaced probe window. The window's top ``x**dim`` is a float only up
-    to dimension ``MAX_PROBE_DIM``."""
+    log-spaced probe window. Above dimension ``MAX_PROBE_DIM`` the window's
+    top ``x**dim`` is no float: there the density and both envelopes are 0."""
     bounds = default_length_scale_bounds(spec)
     xs = _PROBE_XS
     log_density = np.array([spec.log_density(x) for x in xs.tolist()])
     shape_term = bounds.power * np.log(xs)
-    decay_base = xs**spec.dim
+    with np.errstate(over="ignore"):  # inf, where the envelopes' logs are -inf
+        decay_base = xs**spec.dim
     log_lo = bounds.log_c_lower + shape_term - bounds.decay_upper * decay_base
     log_hi = bounds.log_c_upper + shape_term - bounds.decay_lower * decay_base
     below = log_density < log_lo - 1e-9

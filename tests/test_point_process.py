@@ -10,8 +10,8 @@ import pytest
 from sgcp import (DataError, Grid, IntensityField, PointPattern, integrate_field,
                   read_field_csv, read_pattern_csv, rng_for, simulate_thinning,
                   simulate_thinning_batch, write_field_csv, write_pattern_csv)
-from sgcp.point_process import (interp_apply, interp_stencil, log_likelihood, sgcp_suffstats,
-                                 sigmoid, trapezoid_weights)
+from sgcp.point_process import (interp_apply, interp_stencil, log_likelihood, read_table,
+                                 sgcp_suffstats, sigmoid, trapezoid_weights)
 
 
 class TestGrid:
@@ -368,3 +368,61 @@ class TestCsvFormats:
         write_pattern_csv(pat, p1, {})
         write_pattern_csv(pat, p2, {})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _written(kind, path):
+    """A pattern or a field written to ``path`` under a two-line ``#`` block,
+    and the reader that reads it back."""
+    meta = {"config": "abc", "seed": "7"}
+    if kind == "pattern":
+        write_pattern_csv(PointPattern(2, rng_for(5).random((6, 2))), path, meta)
+        return read_pattern_csv
+    write_field_csv(IntensityField(Grid(2, 3), rng_for(6).random(9) + 0.5), path, meta)
+    return read_field_csv
+
+
+def _values(obj):
+    return obj.points if isinstance(obj, PointPattern) else obj.values
+
+
+def _loosened(text, bad_row=None):
+    """``text`` without its ``#`` block, with CRLF line endings and a blank
+    and a comment line before each row, and row ``bad_row`` not a number."""
+    header, *rows = text.rstrip("\n").split("\n")[2:]
+    lines = [header]
+    for i, row in enumerate(rows):
+        lines += ["", "  # a note", "oops" if i == bad_row else row]
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestReadTable:
+    @pytest.mark.parametrize("kind", ["pattern", "field"])
+    def test_reads_back_what_write_table_wrote(self, tmp_path, kind):
+        path = tmp_path / "t.csv"
+        _written(kind, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [ln.startswith("#") for ln in lines[:3]] == [True, True, False]
+        header, rows = read_table(path)
+        assert header == (3, lines[2])
+        assert rows == [(n, line) for n, line in enumerate(lines[3:], start=4)]
+
+    @pytest.mark.parametrize("kind", ["pattern", "field"])
+    def test_crlf_blank_and_comment_lines_give_the_same_values(self, tmp_path, kind):
+        path, loose = tmp_path / "t.csv", tmp_path / "loose.csv"
+        read = _written(kind, path)
+        loose.write_bytes(_loosened(path.read_text(encoding="utf-8")).encode("utf-8"))
+        _, rows = read_table(path)
+        _, loose_rows = read_table(loose)
+        assert [line for _, line in loose_rows] == [line for _, line in rows]
+        np.testing.assert_array_equal(_values(read(loose)), _values(read(path)))
+
+    @pytest.mark.parametrize("kind", ["pattern", "field"])
+    @pytest.mark.parametrize("bad_row", [0, 4])
+    def test_bad_value_is_reported_at_its_line(self, tmp_path, kind, bad_row):
+        path, loose = tmp_path / "t.csv", tmp_path / "loose.csv"
+        read = _written(kind, path)
+        loose.write_bytes(_loosened(path.read_text(encoding="utf-8"), bad_row).encode("utf-8"))
+        line = 2 + 3 * bad_row + 2  # the header, then three lines per row
+        assert loose.read_bytes().split(b"\r\n")[line - 1] == b"oops"
+        with pytest.raises(DataError, match=f"loose.csv:{line}: "):
+            read(loose)

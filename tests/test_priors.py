@@ -65,6 +65,18 @@ class TestLengthScalePrior:
                     LengthScalePriorSpec(dim=1, shape=shape, rate=rate)
             assert LengthScalePriorSpec(dim=1, shape=1e300, rate=1e-8).median == 1e308
 
+    def test_density_is_zero_where_ell_to_the_d_overflows(self):
+        # 100**155 and exp(800) are no floats; below them the arithmetic is
+        # the closed form's, bit for bit
+        spec = LengthScalePriorSpec(dim=155, shape=1.5, rate=2.0)
+        assert spec.log_density(100.0) == -math.inf
+        assert spec.log_density_at_log(800.0) == -math.inf
+        d, a, b = spec.dim, spec.shape, spec.rate
+        for log_ell in (-800.0, -1.0, 0.0, 4.5):
+            want = (math.log(d) + a * math.log(b) - math.lgamma(a)
+                    + (d * a - 1.0) * log_ell - b * math.exp(log_ell)**d)
+            assert spec.log_density_at_log(log_ell) == want
+
     def test_density_rejects_non_positive(self):
         spec = LengthScalePriorSpec(dim=2)
         for x in (0.0, -1.0):
@@ -158,6 +170,15 @@ class TestTailValidators:
         bounds = default_length_scale_bounds(spec)
         assert math.isfinite(bounds.log_c_lower) and math.isfinite(bounds.log_c_upper)
         res = validate_length_scale_tail(spec)
+        assert res.passed, res.detail
+
+    @pytest.mark.parametrize("dim", [155, 1000, 10**6])
+    def test_length_scale_passes_past_the_probe_window_quietly(self, dim):
+        # the window's top x**dim is no float here, so the density and both
+        # envelopes are 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = validate_length_scale_tail(LengthScalePriorSpec(dim=dim))
         assert res.passed, res.detail
 
     def test_ceiling_defaults_pass(self):
