@@ -45,6 +45,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
 
+# the largest |slope - baseline slope| that `bench --baseline` accepts
+SLOPE_BAND = 0.15
+# the largest |z| that `calibrate` accepts
+Z_THRESHOLD = 4.0
+
 
 def _ensure_out(args) -> str:
     os.makedirs(args.out, exist_ok=True)
@@ -173,23 +178,21 @@ def _baseline_slope(path) -> float:
 
 
 def cmd_bench(args, cfg: HarnessConfig) -> int:
-    if not args.band > 0.0:
-        raise ConfigError(f"--band must be positive, got {args.band}")
     base_slope = None if args.baseline is None else _baseline_slope(args.baseline)
     if base_slope is not None and not base_slope < -0.25:
         print(f"CHECK FAIL: baseline slope {base_slope:.4f} is not steeper than -0.25")
         return EXIT_CHECK
-    exp_cfg = dataclasses.replace(cfg.experiment, synthetic=args.synthetic)
-    prior = cfg.prior(get_truth(exp_cfg.truth).dim)
+    exp = cfg.experiment
+    prior = cfg.prior(get_truth(exp.truth).dim)
 
     def progress(cell):
         print(f"  n={cell.n} rep={cell.replicate}: distance {cell.distance_mean:.5f}, "
               f"radius {cell.credible_radius_090:.5f}", flush=True)
 
-    report = run_contraction_experiment(exp_cfg, prior=prior,
+    report = run_contraction_experiment(exp, prior=prior,
                                         progress=progress if args.verbose else None)
     out = _ensure_out(args)
-    file_meta = {"config": cfg.fingerprint(), "seed": str(exp_cfg.seed)}
+    file_meta = {"config": cfg.fingerprint(), "seed": str(exp.seed)}
     write_json({**dataclasses.asdict(report), "config_fingerprint": cfg.fingerprint()},
                os.path.join(out, "report.json"))
     write_cells_csv(report, os.path.join(out, "cells.csv"), meta=file_meta)
@@ -201,25 +204,24 @@ def cmd_bench(args, cfg: HarnessConfig) -> int:
           f"{report.inversions} inversion(s)")
 
     if base_slope is not None:
-        if abs(report.slope - base_slope) > args.band:
-            print(f"CHECK FAIL: slope {report.slope:.4f} outside +/-{args.band} "
+        if abs(report.slope - base_slope) > SLOPE_BAND:
+            print(f"CHECK FAIL: slope {report.slope:.4f} outside +/-{SLOPE_BAND} "
                   f"of baseline {base_slope:.4f}")
             return EXIT_CHECK
-        print(f"CHECK PASS: slope {report.slope:.4f} within +/-{args.band} "
+        print(f"CHECK PASS: slope {report.slope:.4f} within +/-{SLOPE_BAND} "
               f"of baseline {base_slope:.4f}")
     return EXIT_OK
 
 
 def cmd_calibrate(args, cfg: HarnessConfig) -> int:
-    if not args.z_threshold > 0.0:
-        raise ConfigError(f"--z-threshold must be positive, got {args.z_threshold}")
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     grid = Grid(args.dim, args.grid_resolution)
     prior = cfg.prior(args.dim, check_joint_test_prior)
     result = geweke_joint_test(
         prior, grid, rng_for(cfg.experiment.seed, 7),
         n_rounds=args.rounds,
         sweeps_per_round=args.sweeps,
-        mutate_drop_integral=args.mutate,
     )
     unmeasured = sorted(k for k, v in result.z_scores.items() if math.isnan(v))
     for name in sorted(result.z_scores):
@@ -232,22 +234,23 @@ def cmd_calibrate(args, cfg: HarnessConfig) -> int:
             "config_fingerprint": cfg.fingerprint(),
             "dim": args.dim,
             "diverged": result.diverged,
-            "mutate": args.mutate,
             "n_rounds": result.n_rounds,
             "resolution": args.grid_resolution,
             "seed": cfg.experiment.seed,
             "sweeps_per_round": args.sweeps,
             "z_scores": {k: _json_number(v) for k, v in result.z_scores.items()},
         }, os.path.join(args.out, "calibrate.json"))
-    ok = (not result.diverged) and result.max_abs_z < args.z_threshold
+    ok = (not result.diverged) and result.max_abs_z < Z_THRESHOLD
     print("CALIBRATION " + ("PASS" if ok else "FAIL")
           + f" (max |z| {'inf' if result.diverged else f'{result.max_abs_z:.3f}'}"
-          + f", threshold {args.z_threshold}"
+          + f", threshold {Z_THRESHOLD}"
           + (f"; unmeasured: {', '.join(unmeasured)})" if unmeasured else ")"))
     return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_verify_priors(args, cfg: HarnessConfig) -> int:
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     if args.dim > MAX_PROBE_DIM:
         raise ConfigError(f"--dim {args.dim}: the length-scale tail is probed up to "
                           f"x = {PROBE_WINDOW[1]:g}, and x**dim passes the largest float "
@@ -336,10 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="contraction experiment and rate-slope fit")
     _add_common(p, "truth", "ns", "replicates", "n_iter", "n_burn", "resolution")
-    p.add_argument("--synthetic", action="store_true",
-                   help="inject exact power-law distances instead of sampling")
     p.add_argument("--baseline", default=None, help="report.json to compare the slope against")
-    p.add_argument("--band", type=float, default=0.15, help="allowed slope deviation")
     p.add_argument("--verbose", action="store_true", help="per-cell progress lines")
     p.set_defaults(func=cmd_bench)
 
@@ -350,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the test's own grid resolution, not [experiment] resolution")
     p.add_argument("--rounds", type=int, default=50000, help="calibration rounds")
     p.add_argument("--sweeps", type=int, default=5, help="sampler sweeps per round")
-    p.add_argument("--z-threshold", type=float, default=4.0, help="|z| failure threshold")
-    p.add_argument("--mutate", action="store_true",
-                   help="deliberately corrupt the likelihood (power check; fails reliably "
-                        "only from about --rounds 3000, smaller runs can pass)")
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("verify-priors", help="analytic envelope and moment checks")

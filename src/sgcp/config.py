@@ -31,6 +31,7 @@ import numpy as np
 from ._pool import MAX_CELLS
 from .inference import ChainConfig
 from .priors import LengthScalePriorSpec, MaxIntensityPriorSpec, SgcpPrior
+from .truths import TRUTHS
 
 
 class ConfigError(ValueError):
@@ -122,9 +123,11 @@ class ExperimentConfig:
     seed: int = 20240601
     radius_constant: float = 2.0
     chain: ChainConfig = field(default_factory=ChainConfig)
-    synthetic: bool = False
 
     def __post_init__(self):
+        if self.truth not in TRUTHS:
+            raise ValueError(f"[experiment] truth must be one of {', '.join(sorted(TRUTHS))}, "
+                             f"got {self.truth!r}")
         if len(self.ns) < 2 or any(n < 1 for n in self.ns):
             raise ValueError("[experiment] ns needs at least two positive design sizes")
         if list(self.ns) != sorted(set(self.ns)):

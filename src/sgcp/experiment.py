@@ -6,10 +6,6 @@ of the posterior mean together with the 0.9-quantile credible radius. The
 headline statistic is the OLS slope of log median error against log n, to be
 compared with the theoretical exponent ``-beta / (2 beta + d)``.
 
-A synthetic mode bypasses the sampler and injects distances lying exactly on
-a power law; it exercises every piece of the aggregation, fitting, and
-reporting pipeline with a known answer.
-
 The design of a run, ``ExperimentConfig``, is defined in ``config`` with the
 other config types, which ``load_config`` builds from the INI file.
 
@@ -20,12 +16,12 @@ use: ``W = min(cells, usable_cpus())`` processes, the calling process and
 ``inference.geweke_joint_test`` shares. Cells are handed out largest ``n``
 first, each queue position mapped to its cell by arithmetic, and sorted back
 into design order, so the report, its files and the ``progress`` lines are
-the same bytes at any ``W``. At ``W == 1``, and in synthetic mode, every cell
-runs in the calling process and nothing is forked. Each child holds its own
-copy of the sampler's memory: at the benchmark's 64-node, 400-pattern size a
-child peaks near 50 MiB, and the calling process's ``RUSAGE_SELF`` does not
-count it. Anything that patches ``run_chain`` in this module sees only the
-cells the calling process ran.
+the same bytes at any ``W``. At ``W == 1`` every cell runs in the calling
+process and nothing is forked. Each child holds its own copy of the sampler's
+memory: at the benchmark's 64-node, 400-pattern size a child peaks near
+50 MiB, and the calling process's ``RUSAGE_SELF`` does not count it. Anything
+that patches ``run_chain`` in this module sees only the cells the calling
+process ran.
 """
 
 from __future__ import annotations
@@ -42,10 +38,6 @@ from .metrics import contraction
 from .point_process import Grid, simulate_thinning, write_table
 from .priors import SgcpPrior
 from .truths import get_truth
-
-# synthetic mode's distances lie exactly on SYNTHETIC_CONSTANT * n^-SYNTHETIC_EXPONENT
-SYNTHETIC_CONSTANT = 1.0
-SYNTHETIC_EXPONENT = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,6 @@ class ContractionReport:
     replicates: int
     resolution: int
     seed: int
-    synthetic: bool
     cells: tuple
     median_distance: tuple
     median_radius: tuple
@@ -112,9 +103,6 @@ def _run_cell(config: ExperimentConfig, prior: SgcpPrior, truth, ceiling: float,
     n = config.ns[i_n]
     seed_data = seed_fingerprint(config.seed, i_n, rep, 0)
     seed_chain = seed_fingerprint(config.seed, i_n, rep, 1)
-    if config.synthetic:
-        d = SYNTHETIC_CONSTANT * float(n) ** (-SYNTHETIC_EXPONENT)
-        return CellResult(n, rep, 0, d, d, 0.0, 0.0, 0.0, seed_data, seed_chain)
     try:  # before the first draw: a design size too large to hold fails at once
         patterns = [None] * n
     except (MemoryError, OverflowError):  # Python's OverflowError: past an index's range
@@ -152,19 +140,18 @@ def run_contraction_experiment(
     """
     truth_spec = get_truth(config.truth)
     with naming("experiment", resolution=config.resolution):
-        if not config.synthetic:
-            check_grid(Grid(truth_spec.dim, config.resolution))  # before any pattern or fork
+        check_grid(Grid(truth_spec.dim, config.resolution))  # before any pattern or fork
         truth = truth_spec.field(config.resolution)
     if prior.dim != truth_spec.dim:
         raise ValueError("prior dimension does not match the truth")
     ceiling = float(np.max(truth.values))
 
     count, reps = len(config.ns) * config.replicates, config.replicates
-    workers = 1 if config.synthetic else min(count, usable_cpus())
+    workers = min(count, usable_cpus())
     cells = run_cells(count, workers, lambda k: _run_cell(  # the largest n first
         config, prior, truth, ceiling, len(config.ns) - 1 - k // reps, k % reps))
     cells.sort(key=lambda c: (c.n, c.replicate))  # back to design order
-    if progress is not None and not config.synthetic:
+    if progress is not None:
         for cell in cells:
             progress(cell)
 
@@ -183,7 +170,6 @@ def run_contraction_experiment(
         replicates=config.replicates,
         resolution=config.resolution,
         seed=config.seed,
-        synthetic=config.synthetic,
         cells=tuple(cells),
         median_distance=tuple(med_d),
         median_radius=tuple(med_r),

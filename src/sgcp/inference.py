@@ -194,18 +194,14 @@ class _Sampler:
     stencil of the data points, and the two likelihood statistics and the
     collapsed target of the moves, which ``_evaluate`` alone computes. A grid
     that ``check_grid`` refuses is refused here, before anything is filled.
-    ``mutate_drop_integral`` deliberately corrupts the model (for
-    calibration-test power checks) by dropping ``n int s`` from the target,
-    from the joint likelihood and from the rate of the lam* draw.
     """
 
-    def __init__(self, prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool = False):
+    def __init__(self, prior: SgcpPrior, grid: Grid):
         if grid.dim != prior.dim:
             raise ValueError("grid dimension does not match the prior")
         check_grid(grid)
         self.prior = prior
         self.grid = grid
-        self.mutate = mutate_drop_integral
         self.weights = trapezoid_weights(grid.dim, grid.resolution)
         self.step_log_ell = STEP_LOG_ELL_START
         self.stencil = interp_stencil(grid.dim, grid.resolution, np.empty((0, grid.dim)))
@@ -259,15 +255,12 @@ class _Sampler:
         sum_log_s, int_s = suff
         if not math.isfinite(sum_log_s):
             return -math.inf
-        lam_star = math.exp(log_lambda_star)
-        val = self.n_points * log_lambda_star + sum_log_s
-        if not self.mutate:
-            val -= self.n_patterns * (lam_star * int_s - 1.0)
-        return val
+        return (self.n_points * log_lambda_star + sum_log_s
+                - self.n_patterns * (math.exp(log_lambda_star) * int_s - 1.0))
 
     def _ceiling_rate(self, int_s: float) -> float:
-        if self.mutate:
-            return self.prior.lam_prior.rate
+        """``b + n int s``, the rate of lam* | g: the one place the target
+        and the lam* draw take it from."""
         return self.prior.lam_prior.rate + self.n_patterns * int_s
 
     # -- diagnostics ----------------------------------------------------
@@ -518,8 +511,7 @@ def _forward_stats(prior: SgcpPrior, grid: Grid, rng: np.random.Generator,
     return out
 
 
-def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
-                     rng: np.random.Generator, n_rounds: int,
+def _chained_segment(prior: SgcpPrior, grid: Grid, rng: np.random.Generator, n_rounds: int,
                      sweeps_per_round: int) -> tuple[np.ndarray, bool]:
     """One independent chain of the calibration's chained side.
 
@@ -528,7 +520,7 @@ def _chained_segment(prior: SgcpPrior, grid: Grid, mutate_drop_integral: bool,
     on those data. Returns the rows of the rounds completed and whether the
     chain diverged (its ceiling passed ``LAMBDA_CAP``) before the next one.
     """
-    sampler = _Sampler(prior, grid, mutate_drop_integral=mutate_drop_integral)
+    sampler = _Sampler(prior, grid)
     rows = np.empty((n_rounds, len(_GEWEKE_STATS)))
     start = sample_prior_batch(prior, grid, rng, 1)
     sampler.set_state(ModelState(
@@ -577,7 +569,6 @@ def geweke_joint_test(
     rng: np.random.Generator,
     n_rounds: int,
     sweeps_per_round: int,
-    mutate_drop_integral: bool = False,
 ) -> GewekeResult:
     """Joint distribution check of the sampler against the generative model.
 
@@ -620,8 +611,8 @@ def geweke_joint_test(
     bounds = [n_rounds * k // CHAINED_SEGMENTS for k in range(CHAINED_SEGMENTS + 1)]
     segments = run_cells(
         CHAINED_SEGMENTS, min(CHAINED_SEGMENTS, usable_cpus()),
-        lambda k: _chained_segment(prior, grid, mutate_drop_integral, streams[k],
-                                   bounds[k + 1] - bounds[k], sweeps_per_round))
+        lambda k: _chained_segment(prior, grid, streams[k], bounds[k + 1] - bounds[k],
+                                   sweeps_per_round))
     completed = 0
     for rows, diverged in segments:
         completed += rows.shape[0]

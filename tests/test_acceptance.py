@@ -106,7 +106,7 @@ def test_02_simulation_exactness(report):
 
 
 @pytest.mark.slow
-def test_03_mcmc_correctness(report):
+def test_03_mcmc_correctness(report, request):
     """Prior recovery, joint calibration, and a dense quadrature oracle."""
     t0 = time.perf_counter()
     prior = SgcpPrior(dim=1)
@@ -152,8 +152,8 @@ def test_03_mcmc_correctness(report):
     mean_oracle = post @ G
     var_oracle = post @ (G - mean_oracle) ** 2
 
-    def oracle_errors(mutate_drop_integral):
-        sampler = _Sampler(prior, grid, mutate_drop_integral)
+    def oracle_errors():
+        sampler = _Sampler(prior, grid)
         sampler.set_data([pattern])
         sampler.set_state(ModelState(np.zeros(3), 0.0, math.log(8.0)))
         rng = rng_for(7, 3)
@@ -166,9 +166,10 @@ def test_03_mcmc_correctness(report):
         return (float(np.abs(draws.mean(axis=0) - mean_oracle).max()),
                 float(np.abs(draws.var(axis=0) - var_oracle).max()))
 
-    mean_err, var_err = oracle_errors(False)
+    mean_err, var_err = oracle_errors()
     # the oracle has power: the chain that drops n int s from its target misses it
-    mutated_mean_err, _ = oracle_errors(True)
+    request.getfixturevalue("drop_integral")
+    mutated_mean_err, _ = oracle_errors()
 
     elapsed = time.perf_counter() - t0
     ok = (p_min > 0.01
@@ -297,7 +298,6 @@ def test_08_reproducibility(report, tmp_path):
                 "--resolution", "16", "--seed", "17"],
         "bench": ["bench", "--ns", "5,10", "--replicates", "1", "--resolution", "8",
                   "--n-iter", "400", "--n-burn", "100", "--seed", "17"],
-        "bench-synthetic": ["bench", "--synthetic", "--seed", "17"],
         "calibrate": ["calibrate", "--rounds", "3000", "--resolution", "8",
                       "--sweeps", "4", "--seed", "55"],
         "verify-priors": ["verify-priors"],
@@ -317,6 +317,6 @@ def test_08_reproducibility(report, tmp_path):
             details.append(f"{name} differs (codes {code_a}/{code_b})")
         if bad:
             details.append(f"{name} writes a \\r or no final \\n in {', '.join(bad)}")
-    detail = ("all 6 command reruns byte-identical, \\n line endings" if ok
+    detail = (f"all {len(commands)} command reruns byte-identical, \\n line endings" if ok
               else "; ".join(details))
     report(8, "reproducibility", ok, detail, t0)

@@ -6,9 +6,11 @@ module, so a new knob is added to ``SETTABLE`` on purpose or not at all. The
 second checks that every top-level function, class and method in the package
 is referenced by name outside its own body and outside ``__init__.py``, so a
 definition that only tests reach shows up here unless it is one of the
-references the tests compare against.
+references the tests compare against. A third walk lists each subcommand's
+flags, so a new flag, like a new default, is added to ``FLAGS`` on purpose.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -17,6 +19,7 @@ import pkgutil
 from pathlib import Path
 
 import sgcp
+from sgcp.cli import build_parser
 
 SETTABLE = [
     "cli._add_common(out_required)",
@@ -27,7 +30,6 @@ SETTABLE = [
     "config.ExperimentConfig.replicates",
     "config.ExperimentConfig.resolution",
     "config.ExperimentConfig.seed",
-    "config.ExperimentConfig.synthetic",
     "config.ExperimentConfig.truth",
     "config.load_config(overrides)",
     "config.load_config(path)",
@@ -35,8 +37,6 @@ SETTABLE = [
     "inference.ChainConfig.n_burn",
     "inference.ChainConfig.n_iter",
     "inference.ChainConfig.thin",
-    "inference._Sampler.__init__(mutate_drop_integral)",
-    "inference.geweke_joint_test(mutate_drop_integral)",
     "priors.LengthScalePriorSpec.rate",
     "priors.LengthScalePriorSpec.shape",
     "priors.MaxIntensityPriorSpec.rate",
@@ -44,6 +44,17 @@ SETTABLE = [
     "priors.SgcpPrior.ell_prior",
     "priors.SgcpPrior.lam_prior",
 ]
+
+# each subcommand's option strings, apart from -h and --help
+FLAGS = {
+    "simulate": ["--config", "--n", "--out", "--resolution", "--seed", "--truth"],
+    "fit": ["--config", "--data", "--n-burn", "--n-iter", "--out", "--resolution", "--seed"],
+    "bench": ["--baseline", "--config", "--n-burn", "--n-iter", "--ns", "--out", "--replicates",
+              "--resolution", "--seed", "--truth", "--verbose"],
+    "calibrate": ["--config", "--dim", "--out", "--resolution", "--rounds", "--seed",
+                  "--sweeps"],
+    "verify-priors": ["--config", "--delta", "--dim", "--out", "--seed"],
+}
 
 # definitions no command reaches, kept as what the tests compare against
 REFERENCES = {
@@ -83,6 +94,16 @@ def _settable_values():
 
 def test_settable_values_are_the_committed_list():
     assert _settable_values() == SETTABLE
+
+
+def test_flags_are_the_committed_table():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: sorted(flag for action in sub._actions
+                          if not isinstance(action, argparse._HelpAction)
+                          for flag in action.option_strings)
+             for name, sub in commands.choices.items()}
+    assert found == FLAGS
 
 
 def _definitions(tree):

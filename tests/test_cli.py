@@ -371,17 +371,15 @@ BAD_BASELINES = {
     ["simulate", "--n", "-5"],
     ["calibrate", "--rounds", "0"],
     ["calibrate", "--sweeps", "0"],
-    ["bench", "--synthetic", "--band", "-1"],
     ["calibrate", "--rounds", "10"],
-    ["calibrate", "--z-threshold", "-1"],
     ["verify-priors", "--delta", "-1"],
     ["verify-priors", "--delta", "inf"],
     ["verify-priors", "--delta", "1e300"],
-    ["bench", "--synthetic", "--baseline", "absent.json"],
-    ["bench", "--synthetic", "--baseline", "."],
-    *(["bench", "--synthetic", "--baseline", name] for name in BAD_BASELINES),
-], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps", "bench-band",
-        "calibrate-few-rounds", "calibrate-z-threshold", "verify-priors-delta",
+    ["bench", "--baseline", "absent.json"],
+    ["bench", "--baseline", "."],
+    *(["bench", "--baseline", name] for name in BAD_BASELINES),
+], ids=["simulate-n", "calibrate-rounds", "calibrate-sweeps",
+        "calibrate-few-rounds", "verify-priors-delta",
         "verify-priors-delta-inf", "verify-priors-delta-huge",
         "bench-baseline-missing", "bench-baseline-directory", "bench-baseline-bad-json",
         "bench-baseline-not-utf8", "bench-baseline-no-slope", "bench-baseline-null-slope",
@@ -397,40 +395,42 @@ def test_bad_subcommand_argument_is_config_error(tmp_path, argv):
 
 
 class TestBench:
-    def test_synthetic_run_and_baseline_pass(self, tmp_path):
+    """The bench's reporting and baseline check, on ``power_law_cells``."""
+
+    def test_power_law_run_and_baseline_pass(self, tmp_path, power_law_cells):
         out = tmp_path / "b1"
-        assert main(["bench", "--out", str(out), "--synthetic",
+        assert main(["bench", "--out", str(out),
                      "--ns", "25,50,100", "--replicates", "2"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert (out / "cells.csv").exists() and (out / "medians.csv").exists()
         # self-comparison must pass the band check
-        code = main(["bench", "--out", str(tmp_path / "b2"), "--synthetic",
+        code = main(["bench", "--out", str(tmp_path / "b2"),
                      "--ns", "25,50,100", "--replicates", "2",
                      "--baseline", str(out / "report.json")])
         assert code == 0
 
-    def test_baseline_mismatch_fails(self, tmp_path):
+    def test_baseline_mismatch_fails(self, tmp_path, power_law_cells):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"slope": -0.9}))
-        code = main(["bench", "--out", str(tmp_path / "b"), "--synthetic",
+        code = main(["bench", "--out", str(tmp_path / "b"),
                      "--ns", "25,50,100", "--replicates", "2",
                      "--baseline", str(base)])
         assert code == 5
 
-    def test_shallow_baseline_fails(self, tmp_path):
+    def test_shallow_baseline_fails(self, tmp_path, power_law_cells):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"slope": -0.2}))
         out = tmp_path / "b"
-        code = main(["bench", "--out", str(out), "--synthetic",
+        code = main(["bench", "--out", str(out),
                      "--ns", "25,50,100", "--replicates", "2",
                      "--baseline", str(base)])
         assert code == 5
         assert not out.exists()  # refused before the design runs
 
-    def test_synthetic_bitwise_repeatable(self, tmp_path):
+    def test_power_law_bitwise_repeatable(self, tmp_path, power_law_cells):
         a, b = tmp_path / "ra", tmp_path / "rb"
-        args = ["bench", "--synthetic", "--ns", "25,50", "--replicates", "2"]
+        args = ["bench", "--ns", "25,50", "--replicates", "2"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
@@ -489,12 +489,6 @@ class TestBenchCellSplit:
             assert (code, files, stdout, forked) == (0, one[1], one[2], forks)
         assert _no_child_left()
 
-    def test_synthetic_forks_nothing(self, monkeypatch, capsys, tmp_path):
-        code, files, _, forks = self._run(monkeypatch, capsys, tmp_path, 2,
-                                          ["bench", "--synthetic", "--seed", "17"])
-        assert code == 0 and "report.json" in files
-        assert forks == 0
-
     def test_child_failure_is_reraised(self, monkeypatch, capsys, tmp_path):
         parent, real_run_chain = os.getpid(), experiment.run_chain
 
@@ -548,11 +542,18 @@ class TestCalibrate:
         assert len(blob["z_scores"]) == 6
         assert "CALIBRATION PASS" in capsys.readouterr().out
 
-    def test_mutated_fails(self, capsys):
+    def test_mutated_fails(self, capsys, drop_integral):
         code = main(["calibrate", "--rounds", "3000", "--resolution", "8",
-                     "--sweeps", "4", "--seed", "55", "--mutate"])
+                     "--sweeps", "4", "--seed", "55"])
         assert code == 5
         assert "CALIBRATION FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_is_refused(self, dim, capsys, tmp_path):
+        out = tmp_path / "c"
+        assert main(["calibrate", "--dim", str(dim), "--rounds", "64", "--out", str(out)]) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_names_the_dimension_and_sweeps(self, tmp_path):
         out = tmp_path / "c"
@@ -609,7 +610,8 @@ class TestCalibrateSegmentSplit:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert _no_child_left()
 
-    def test_diverged_rounds_independent_of_cpu_count(self, monkeypatch, capsys, tmp_path):
+    def test_diverged_rounds_independent_of_cpu_count(self, monkeypatch, capsys, tmp_path,
+                                                      drop_integral):
         # at ceiling rate 0.8 the mutated chain diverges within 128 rounds: at
         # seed 3 in the first segment, at seed 4 in the second
         cfg = tmp_path / "rate.ini"
@@ -617,7 +619,7 @@ class TestCalibrateSegmentSplit:
         completed = []
         for seed in ("3", "4"):
             argv = ["calibrate", "--rounds", "128", "--resolution", "8", "--sweeps", "2",
-                    "--seed", seed, "--mutate", "--config", str(cfg)]
+                    "--seed", seed, "--config", str(cfg)]
             outputs = []
             for cpus in (1, 2):
                 _cpus(monkeypatch, cpus)
@@ -721,7 +723,7 @@ class TestVerifyPriors:
         assert main(["verify-priors", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
 
-    @pytest.mark.parametrize("dim, code", [(154, 0), (155, 2), (10**6, 2)])
+    @pytest.mark.parametrize("dim, code", [(154, 0), (155, 2), (10**6, 2), (0, 2), (-1, 2)])
     def test_dim_past_the_probe_window_is_refused(self, dim, code, capsys):
         # the length-scale envelope is probed up to x = 100, and 100**155 is no float
         assert main(["verify-priors", "--dim", str(dim)]) == code
@@ -887,3 +889,20 @@ def test_extreme_value_runs_or_is_refused(six_patterns, tmp_path, capsys, comman
         assert code == 2
     if code == 2:  # every refusal names the key it was given
         assert f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    *([*command, "--config", "truth.ini"] for command in _GATE_COMMANDS.values()),
+    ["simulate", "--n", "6", "--truth", "nope"],
+    ["bench", "--truth", "nope"],
+], ids=[*(f"{name}-ini" for name in _GATE_COMMANDS), "simulate-flag", "bench-flag"])
+def test_unknown_truth_is_refused_by_its_key(tmp_path, capsys, argv):
+    (tmp_path / "truth.ini").write_text("[experiment]\ntruth = nope\n")
+    argv = [str(tmp_path / arg) if arg == "truth.ini" else arg for arg in argv]
+    if argv[0] == "fit":
+        argv += ["--data", str(tmp_path)]
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[experiment] truth" in err and "sin1d" in err and "Traceback" not in err
+    assert not out.exists()

@@ -21,7 +21,7 @@ def test_every_config_field_is_an_ini_key():
     # a field no INI key sets would be a knob only code can turn
     assert tuple(f.name for f in fields(ChainConfig)) == _KEYS["chain"]
     assert tuple(f.name for f in fields(ExperimentConfig)
-                 if f.name not in ("chain", "synthetic")) == _KEYS["experiment"]
+                 if f.name not in ("chain",)) == _KEYS["experiment"]
 
 
 def test_readme_configuration_block_loads_to_the_defaults(tmp_path):

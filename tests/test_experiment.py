@@ -1,4 +1,4 @@
-"""Contraction harness: slope fitting, synthetic mode, reports, seeds."""
+"""Contraction harness: slope fitting, power-law cells, reports, seeds."""
 
 import dataclasses
 import json
@@ -53,34 +53,32 @@ class TestSeedTree:
         assert len({a, b, c}) == 3
 
 
-class TestSyntheticMode:
+class TestPowerLawCells:
     def _config(self):
         return ExperimentConfig(
-            ns=(25, 50, 100, 200), replicates=3, synthetic=True,
-            chain=ChainConfig(n_iter=10, n_burn=1))
+            ns=(25, 50, 100, 200), replicates=3, chain=ChainConfig(n_iter=10, n_burn=1))
 
-    def test_recovers_injected_exponent_exactly(self):
+    def test_recovers_injected_exponent_exactly(self, power_law_cells):
         report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         assert report.slope == pytest.approx(-0.5, abs=1e-12)
         assert report.inversions == 0
 
-    def test_recovers_other_exponent(self, monkeypatch):
-        monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_EXPONENT", 0.37)
-        monkeypatch.setattr(sgcp.experiment, "SYNTHETIC_CONSTANT", 2.5)
+    def test_recovers_other_exponent(self, power_law_cells):
+        power_law_cells.update(constant=2.5, exponent=0.37)
         report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         assert report.slope == pytest.approx(-0.37, abs=1e-12)
         assert report.intercept == pytest.approx(math.log(2.5), abs=1e-12)
 
-    def test_design_larger_than_a_pipe_buffer(self):
+    def test_design_larger_than_a_pipe_buffer(self, power_law_cells):
         # 18000 four-byte hand-out records overflow a 64 KiB pipe: the queue is fed,
         # not filled up front, so the design still runs, every cell once and in order
-        cfg = ExperimentConfig(ns=(25, 50), replicates=9000, synthetic=True,
+        cfg = ExperimentConfig(ns=(25, 50), replicates=9000,
                                chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         assert [(c.n, c.replicate) for c in report.cells] == \
             [(n, rep) for n in (25, 50) for rep in range(9000)]
 
-    def test_report_dict_round_trips_through_json(self):
+    def test_report_dict_round_trips_through_json(self, power_law_cells):
         report = run_contraction_experiment(self._config(), SgcpPrior(dim=1))
         blob = json.dumps(dataclasses.asdict(report), sort_keys=True)
         back = json.loads(blob)
@@ -89,9 +87,8 @@ class TestSyntheticMode:
 
 
 class TestWriters:
-    def test_files_deterministic(self, tmp_path):
-        cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
-                               chain=ChainConfig(n_iter=10, n_burn=1))
+    def test_files_deterministic(self, tmp_path, power_law_cells):
+        cfg = ExperimentConfig(ns=(25, 50), replicates=2, chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         meta = {"origin": "test"}
         for writer, name in ((lambda r, p: write_json(dataclasses.asdict(r), p), "r.json"),
@@ -103,9 +100,8 @@ class TestWriters:
             assert p1.read_bytes() == p2.read_bytes()
             assert p1.stat().st_size > 0
 
-    def test_cells_csv_parses(self, tmp_path):
-        cfg = ExperimentConfig(ns=(25, 50), replicates=2, synthetic=True,
-                               chain=ChainConfig(n_iter=10, n_burn=1))
+    def test_cells_csv_parses(self, tmp_path, power_law_cells):
+        cfg = ExperimentConfig(ns=(25, 50), replicates=2, chain=ChainConfig(n_iter=10, n_burn=1))
         report = run_contraction_experiment(cfg, SgcpPrior(dim=1))
         path = tmp_path / "cells.csv"
         write_cells_csv(report, path, {})
@@ -161,7 +157,7 @@ class TestEndToEndTiny:
     def test_unknown_truth_rejected(self):
         with pytest.raises(ValueError):
             run_contraction_experiment(
-                ExperimentConfig(truth="nope", ns=(5, 10), replicates=1, synthetic=True),
+                ExperimentConfig(truth="nope", ns=(5, 10), replicates=1),
                 SgcpPrior(dim=1))
 
 
